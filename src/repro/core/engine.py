@@ -1,32 +1,43 @@
-"""The generic multi-query serving engine.
+"""The generic multi-query serving engine — the one serving skeleton.
 
 The paper's system is a *server*: one shared, expensive index answers many
 concurrent moving kNN queries while the underlying data objects churn.  The
-Euclidean :class:`~repro.core.server.MovingKNNServer` and the road-network
-:class:`~repro.core.road_server.MovingRoadKNNServer` are two metric-specific
-instances of the same machine, and this module is that machine:
+Euclidean :class:`~repro.core.server.MovingKNNServer` (over a
+:class:`~repro.index.vortree.VoRTree`) and the road-network
+:class:`~repro.core.road_server.MovingRoadKNNServer` (over a
+:class:`~repro.roadnet.network_voronoi.NetworkVoronoiDiagram`) are two
+metric instances of the same machine, and this module is that machine:
 
 * **query lifecycle** — registration hands out monotonically increasing
   query identifiers; every registered query owns one processor (answer,
   prefetched set, guard set) initialised before it is admitted, so a
   failing first answer never leaves a zombie query behind;
+* **one mutation path** — :meth:`ServingEngine.batch_update` checks the
+  whole burst before anything mutates (moves must name live objects,
+  insert and move targets must be valid for the metric, the surviving
+  population must still serve every query's ``k``), applies it to the
+  shared index as one timed repair and commits it as one epoch.  A metric
+  whose index cannot relocate objects natively applies a move as delete +
+  reinsert (two object records on the wire);
 * **epoch counter** — every mutation batch (a single insert/delete/move
   counts as a batch of one) advances one data epoch, so clients can cheaply
   detect whether the data set changed since they last looked;
-* **invalidation dispatch** — the engine pushes each epoch's *repair delta*
-  (the objects whose Voronoi neighbour sets changed, plus the removed
-  objects) to every registered processor, which settles it lazily on its
-  next timestamp: a removal inside its prefetched set costs one retrieval,
-  a delta elsewhere in its held pool an I(R)-only refresh, and a delta
-  outside its pool nothing at all.  The pre-delta behaviour — flag every
-  query for a full refresh on every epoch, regardless of where the update
-  landed — survives as the ``"flag"`` fallback mode and as the oracle of
-  the randomized delta-equivalence tests;
-* **population guard** — a mutation that would leave fewer objects than
-  some registered query's ``k`` requires fails loudly at the mutation
-  instead of deep inside that query's next retrieval;
-* **aggregate statistics** — cost counters summed across queries for
-  capacity planning;
+* **delta-scoped invalidation** — every repair reports the objects whose
+  Voronoi neighbour sets changed, and the engine pushes exactly that delta
+  (plus the removed objects) to every registered processor, which settles
+  it lazily on its next timestamp (see :mod:`repro.core.processor`).
+  Processors share the index's live position view, so an update never
+  copies the object list into each query.  The blanket pre-delta behaviour
+  — every query refreshes fully on every epoch — survives as
+  ``invalidation="flag"``, the fallback mode and the oracle of the
+  randomized delta-equivalence tests;
+* **leader/replica replication** — a maintenance leader exports each
+  epoch's repair as an :class:`~repro.transport.codec.IndexDelta`
+  (:meth:`ServingEngine.export_delta`); a read replica applies it
+  (:meth:`ServingEngine.apply_remote_delta`) as the same epoch with the
+  same changed/removed/payload values, without re-running any repair;
+* **aggregate statistics** — cost counters summed across queries, plus the
+  server-side maintenance and delta-apply timers, for capacity planning;
 * **communication accounting** — every client/server exchange is counted
   into a :class:`~repro.core.stats.CommunicationStats`, per query and in
   aggregate, so the paper's headline metric (messages and objects shipped
@@ -35,37 +46,49 @@ instances of the same machine, and this module is that machine:
   costs one uplink request plus the initial retrieval response; a position
   update costs one round trip per server contact it actually needed (a
   locally validated timestamp is free); a mutation batch costs one uplink
-  message carrying its object records plus one invalidation notification
-  per registered query; closing a query costs one uplink message.  The
-  ``repro.service`` layer reports the same numbers through its typed
-  message protocol — and because the accounting lives here, a workload
-  driven through raw server calls produces identical counters.
+  message carrying its object records
+  (:meth:`ServingEngine.billed_records`) plus one invalidation
+  notification per registered query; closing a query costs one uplink
+  message.  The ``repro.service`` layer reports the same numbers through
+  its typed message protocol — and because the accounting lives here, a
+  workload driven through raw server calls produces identical counters.
 
-Subclasses provide the metric-specific 20%: constructing the shared index,
-building a processor for a new query, and translating object mutations into
-index repairs that report their deltas.
+A metric subclass supplies only the shared index and its calls: building
+the index and the per-query processors, and the batch/export calls that
+report repair deltas.
 """
 
 from __future__ import annotations
 
 import abc
 import threading
+from dataclasses import dataclass
 from typing import (
-    Callable,
+    Any,
     Dict,
+    FrozenSet,
     Generic,
     Iterable,
     Iterator,
     List,
     Optional,
     Protocol,
+    Sequence,
+    Set,
+    Tuple,
     TypeVar,
 )
 
 from repro.errors import ConfigurationError, QueryError
 from repro.core.objects import QueryResult
 from repro.core.stats import CommunicationStats, ProcessorStats
-from repro.obs.metrics import counter as _obs_counter, enabled as _obs_enabled
+from repro.obs.clock import clock as _clock
+from repro.obs.metrics import (
+    counter as _obs_counter,
+    enabled as _obs_enabled,
+    histogram as _obs_histogram,
+)
+from repro.obs.trace import TRACER as _TRACER
 
 PositionT = TypeVar("PositionT")
 
@@ -88,9 +111,24 @@ _OUTCOME_COUNTERS = tuple(
     for _, label in _OUTCOME_FIELDS
 )
 
+# Index-maintenance latency per metric: one clock read pair feeds both the
+# maintenance_seconds/delta_apply_seconds accumulators (always) and these
+# registry histograms (when observability is enabled).
+_METRICS = ("euclidean", "road")
+_MAINTENANCE_SECONDS = {
+    metric: _obs_histogram("insq_maintenance_seconds", metric=metric)
+    for metric in _METRICS
+}
+_DELTA_APPLY_SECONDS = {
+    metric: _obs_histogram("insq_delta_apply_seconds", metric=metric)
+    for metric in _METRICS
+}
+
 
 class ServableProcessor(Protocol[PositionT]):
     """What the engine needs from a registered query's processor."""
+
+    def initialize(self, position: PositionT) -> QueryResult: ...
 
     def update(self, position: PositionT) -> QueryResult: ...
 
@@ -107,13 +145,47 @@ class ServableProcessor(Protocol[PositionT]):
     def last_position(self) -> Optional[PositionT]: ...
 
 
-#: A registration record: any object exposing ``query_id``, ``k`` and a
-#: ``processor`` satisfying :class:`ServableProcessor` (the servers use
-#: frozen dataclasses).
-RecordT = TypeVar("RecordT")
+@dataclass(frozen=True)
+class RegisteredQuery:
+    """Bookkeeping record of one registered moving query.
+
+    ``kind`` names the continuous query kind (``"knn"`` for the classic
+    moving-kNN query; see :mod:`repro.queries.kinds` for the registry), and
+    ``processor`` is whichever processor that kind builds.
+    ``validation_mode`` is the road processor's distance mode (``None`` on
+    the plane).
+    """
+
+    query_id: int
+    k: int
+    rho: float
+    processor: ServableProcessor
+    kind: str = "knn"
+    validation_mode: Optional[str] = None
 
 
-class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
+@dataclass(frozen=True)
+class BatchUpdateResult:
+    """Outcome of one :meth:`ServingEngine.batch_update` epoch.
+
+    Attributes:
+        new_indexes: object indexes assigned to the inserted objects, in
+            input order (on a metric without native moves, followed by the
+            reinsert half of each move).
+        deleted_indexes: object indexes that were actually deleted.
+        changed_objects: surviving objects whose Voronoi neighbour sets
+            changed (the delta pushed to the registered queries).
+        epoch: the data epoch after applying the batch (monotonically
+            increasing; one step per mutation batch, however large).
+    """
+
+    new_indexes: Tuple[int, ...]
+    deleted_indexes: Tuple[int, ...]
+    changed_objects: FrozenSet[int]
+    epoch: int
+
+
+class ServingEngine(abc.ABC, Generic[PositionT]):
     """Generic moving-query serving engine (see the module docstring).
 
     Args:
@@ -126,11 +198,18 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
 
     INVALIDATION_MODES = ("delta", "flag")
 
+    #: The metric label of this engine's maintenance histograms and spans
+    #: (``"euclidean"`` or ``"road"``; set by each metric subclass).
+    METRIC: str
+    #: Whether the shared index relocates an object in place (one billed
+    #: record per move); otherwise a move is a delete + reinsert (two).
+    NATIVE_MOVES = False
+
     #: Server-side wall-clock time spent applying update epochs to the live
     #: index (the maintenance leader's cost) and applying shipped repair
     #: deltas (the read-replica's cost).  Class-level defaults so engines
     #: pickled before these timers existed keep restoring cleanly; the
-    #: metric servers accumulate onto instance attributes.
+    #: engine accumulates onto instance attributes.
     maintenance_seconds: float = 0.0
     delta_apply_seconds: float = 0.0
 
@@ -140,7 +219,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
                 f"invalidation must be one of {self.INVALIDATION_MODES}, got {invalidation!r}"
             )
         self._invalidation = invalidation
-        self._queries: Dict[int, RecordT] = {}
+        self._queries: Dict[int, RegisteredQuery] = {}
         self._next_query_id = 0
         self._epoch = 0
         # Communication accounting: one aggregate (it keeps the history of
@@ -190,6 +269,15 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         """Number of active data objects in the shared index."""
 
     @property
+    @abc.abstractmethod
+    def index(self) -> Any:
+        """The shared index (``is_active``/``batch_update``/``apply_remote_delta``)."""
+
+    @abc.abstractmethod
+    def active_object_indexes(self) -> List[int]:
+        """Indexes of the active data objects, in the index's native order."""
+
+    @property
     def query_count(self) -> int:
         """Number of currently registered queries."""
         return len(self._queries)
@@ -208,7 +296,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         """Identifiers of the registered queries (a snapshot list)."""
         return list(self._queries)
 
-    def __iter__(self) -> Iterator[RecordT]:
+    def __iter__(self) -> Iterator[RegisteredQuery]:
         """Iterate over a *snapshot* of the registration records.
 
         Unregistering a query (or closing a :class:`~repro.service.session.
@@ -324,24 +412,38 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
     # ------------------------------------------------------------------
     # Query lifecycle
     # ------------------------------------------------------------------
-    def _admit(self, make_record: Callable[[int], RecordT]) -> int:
-        """Register an already-initialised query and return its identifier.
+    def _admit(
+        self,
+        position: PositionT,
+        processor: ServableProcessor[PositionT],
+        k: int,
+        rho: float,
+        kind: str = "knn",
+        validation_mode: Optional[str] = None,
+    ) -> int:
+        """Initialise a query's processor, register it and return its id.
 
-        ``make_record`` receives the allocated query id and returns the
-        registration record (which must expose ``processor`` and ``k``).
-        Callers initialise the processor *before* admitting it, so a failing
-        first answer cannot leave a zombie query behind that inflates counts
-        and receives deltas forever.
+        The processor computes its first answer *before* it is admitted, so
+        a failing first answer (bad position, unreachable region) cannot
+        leave a zombie query behind that inflates counts and receives
+        deltas forever.
         """
+        processor.initialize(position)
         query_id = self._next_query_id
         self._next_query_id += 1
-        record = make_record(query_id)
-        self._queries[query_id] = record
+        self._queries[query_id] = RegisteredQuery(
+            query_id=query_id,
+            k=k,
+            rho=rho,
+            processor=processor,
+            kind=kind,
+            validation_mode=validation_mode,
+        )
         self._comm_by_query[query_id] = CommunicationStats()
         # Registration communication: one uplink request, and the initial
         # retrieval the processor performed while initialising (its stats
         # already carry the round trips and the |R| + |I(R)| payload).
-        stats = record.processor.stats
+        stats = processor.stats
         self._account(
             query_id,
             uplink_messages=1,
@@ -421,26 +523,146 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         return result
 
     # ------------------------------------------------------------------
-    # Epoch orchestration
+    # Data-object updates
     # ------------------------------------------------------------------
-    @staticmethod
-    def _dedup_active_deletes(
-        deletes: Iterable[int], is_active: Callable[[int], bool]
-    ) -> List[int]:
+    def _check_target(self, target: Any) -> None:
+        """Reject an invalid insert or move target before anything mutates.
+
+        The default trusts the index's own up-front checks; a metric whose
+        index would fail half-way through a repair overrides this.
+        """
+
+    @abc.abstractmethod
+    def _index_batch(
+        self, inserts: List[Any], deletes: List[int], moves: List[Tuple[int, Any]]
+    ) -> Tuple[List[int], List[int], Set[int]]:
+        """Apply a checked burst: ``(new_indexes, deleted_indexes, changed)``."""
+
+    def _maintain(self, operation, *args, replica: bool = False):
+        """Run one index repair (or, on a replica, one shipped-delta apply)
+        under the engine's maintenance clock and return its outcome."""
+        start = _clock()
+        outcome = operation(*args)
+        elapsed = _clock() - start
+        if replica:
+            self.delta_apply_seconds += elapsed
+            _DELTA_APPLY_SECONDS[self.METRIC].observe(elapsed)
+            _TRACER.add("delta.apply", start, elapsed, metric=self.METRIC)
+        else:
+            self.maintenance_seconds += elapsed
+            _MAINTENANCE_SECONDS[self.METRIC].observe(elapsed)
+            _TRACER.add("index.maintain", start, elapsed, metric=self.METRIC)
+        return outcome
+
+    def insert_object(self, target: Any) -> int:
+        """Insert one data object (a batch of one); returns its index."""
+        return self.batch_update(inserts=(target,)).new_indexes[0]
+
+    def delete_object(self, index: int) -> bool:
+        """Delete one data object (a batch of one); False when already gone."""
+        return bool(self.batch_update(deletes=(index,)).deleted_indexes)
+
+    def move_object(self, index: int, target: Any) -> FrozenSet[int]:
+        """Relocate one data object (a batch of one); returns the changed
+        objects."""
+        return self.batch_update(moves=((index, target),)).changed_objects
+
+    def batch_update(
+        self,
+        inserts: Sequence[Any] = (),
+        deletes: Iterable[int] = (),
+        moves: Iterable[Tuple[int, Any]] = (),
+    ) -> BatchUpdateResult:
+        """Apply a burst of object inserts, moves and deletes as one epoch.
+
+        A heavy traffic stream batches its object updates; applying them
+        together triggers one index patch (or, for very large bursts, one
+        rebuild) and one invalidation round instead of one per object.
+        Deletions refer to pre-existing object indexes (inactive ones are
+        skipped); insertions are registered first, so a burst may replace
+        the whole population as long as one object survives.  Moves apply
+        after inserts and before deletes on both metrics: when a batch
+        moves one object twice the last move wins, and an object the batch
+        both moves and deletes ends deleted.
+
+        Raises:
+            QueryError: when a move names an object that does not exist, or
+                when the surviving population would be too small for some
+                registered query's ``k``.  Nothing is applied and the
+                epoch does not advance.
+        """
+        insert_list = list(inserts)
+        move_list = list(moves)
+        for index, _ in move_list:
+            if not self.index.is_active(index):
+                raise QueryError(f"object {index} does not exist (or was removed)")
+        for target in insert_list + [target for _, target in move_list]:
+            self._check_target(target)
+        delete_list = list(deletes)
+        if not self.NATIVE_MOVES:
+            # Relocate the way a native index does: the last move of an id
+            # wins, and a moved id that the batch also deletes stays deleted.
+            doomed = set(delete_list)
+            for index, target in dict(move_list).items():
+                if index not in doomed:
+                    delete_list.append(index)
+                    insert_list.append(target)
+            move_list = []
+        delete_list = self._dedup_active_deletes(delete_list)
+        self._check_population(
+            self.object_count + len(insert_list) - len(delete_list)
+        )
+        new_indexes, deleted, changed = self._maintain(
+            self._index_batch, insert_list, delete_list, move_list
+        )
+        if new_indexes or deleted or changed:
+            self._commit_epoch(
+                changed,
+                deleted,
+                payload=self.billed_records(new_indexes, deleted, move_list),
+            )
+        return BatchUpdateResult(
+            new_indexes=tuple(new_indexes),
+            deleted_indexes=tuple(deleted),
+            changed_objects=frozenset(changed),
+            epoch=self._epoch,
+        )
+
+    @classmethod
+    def billed_records(
+        cls,
+        new_indexes: Sequence[int],
+        deleted_indexes: Sequence[int],
+        moves: Sequence[Any],
+    ) -> int:
+        """Object records a committed batch bills as uplink payload.
+
+        One record per assigned index and per actual deletion, plus one
+        per move on a metric that relocates natively (elsewhere a move
+        already counts as its delete + reinsert).  The engine bills its
+        epochs with this rule, :meth:`export_delta` ships it as the delta's
+        ``payload``, and a broadcasting shard pool de-duplicates with it.
+        """
+        native = len(moves) if cls.NATIVE_MOVES else 0
+        return len(new_indexes) + len(deleted_indexes) + native
+
+    def _dedup_active_deletes(self, deletes: Iterable[int]) -> List[int]:
         """Filter a deletion list to active objects, deduped in input order.
 
-        Shared by both servers' ``batch_update`` so the population guard
-        counts each doomed object once and ``deleted_indexes`` comes back
-        in the order the caller asked for.
+        The population guard then counts each doomed object once, and
+        ``deleted_indexes`` comes back in the order the caller asked for.
         """
         seen = set()
         delete_list: List[int] = []
         for index in deletes:
-            if is_active(index) and index not in seen:
+            if self.index.is_active(index) and index not in seen:
                 seen.add(index)
                 delete_list.append(index)
         return delete_list
 
+    # ------------------------------------------------------------------
+    # Epoch orchestration
+    # ------------------------------------------------------------------
     def _check_population(self, resulting_count: int) -> None:
         """Reject a mutation that would starve a registered query.
 
@@ -491,6 +713,67 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
                 if bucket is not None:
                     bucket.downlink_messages += 1
         return self._epoch
+
+    # ------------------------------------------------------------------
+    # Leader/replica delta replication
+    # ------------------------------------------------------------------
+    def begin_delta_capture(self) -> None:
+        """Start capturing the repair delta of the next update epoch.
+
+        Installed by the maintenance leader before applying a batch.  The
+        default has nothing to install: an index that derives its delta
+        post hoc from the batch result needs no recording.
+        """
+
+    @abc.abstractmethod
+    def _delta_sections(self, result: BatchUpdateResult) -> Dict[str, object]:
+        """The index-specific :class:`~repro.transport.codec.IndexDelta`
+        fields of the epoch that produced ``result``."""
+
+    def export_delta(self, result: BatchUpdateResult, batch) -> Dict[str, object]:
+        """The :class:`~repro.transport.codec.IndexDelta` fields of the
+        epoch that :meth:`batch_update` just applied (as plain kwargs).
+
+        ``payload`` is what the epoch billed as uplink objects
+        (:meth:`billed_records` over the result and the originating
+        :class:`~repro.service.messages.UpdateBatch`'s moves).
+        """
+        return {
+            "epoch": result.epoch,
+            "payload": self.billed_records(
+                result.new_indexes, result.deleted_indexes, batch.moves
+            ),
+            "new_indexes": tuple(result.new_indexes),
+            "deleted_indexes": tuple(result.deleted_indexes),
+            "changed": tuple(sorted(result.changed_objects)),
+            **self._delta_sections(result),
+        }
+
+    def apply_remote_delta(self, delta) -> None:
+        """Apply a maintenance leader's repair delta as this engine's epoch.
+
+        The read-replica path of ``replication="delta"``: the shared index
+        is patched from the shipped delta (no repair runs) and the epoch
+        commits with the same changed/removed/payload values the leader
+        committed, so answers, counters and epoch stay bit-identical to a
+        replica that re-ran the batch.  A delta for the current epoch is a
+        no-op (the leader's batch did not commit).
+
+        Raises:
+            QueryError: when the delta is for neither the current nor the
+                next epoch (the replicas diverged); nothing is applied.
+        """
+        if delta.epoch == self._epoch:
+            return
+        if delta.epoch != self._epoch + 1:
+            raise QueryError(
+                f"index delta for epoch {delta.epoch} cannot apply at epoch "
+                f"{self._epoch} — replicas diverged"
+            )
+        self._maintain(self.index.apply_remote_delta, delta, replica=True)
+        self._commit_epoch(
+            frozenset(delta.changed), delta.deleted_indexes, payload=delta.payload
+        )
 
     # ------------------------------------------------------------------
     # Aggregate statistics

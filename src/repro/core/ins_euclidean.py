@@ -1,65 +1,25 @@
 """The INS moving-kNN processor in the 2-D Euclidean plane (Section III).
 
-Protocol reproduced from the paper:
+The metric-agnostic INS protocol — initial retrieval of the ``⌊ρk⌋``
+nearest objects ``R`` with their influential neighbour set ``I(R)``,
+validation against the guard set, local recomposition from ``R``, and the
+lazy settling of data-update deltas — lives in
+:class:`~repro.core.processor.MovingKNNProcessor`.  This module supplies
+the plane's part:
 
-1. **Initial computation.**  When the query is issued at position ``q`` the
-   server retrieves the ``⌊ρk⌋`` nearest objects ``R`` (ρ is the *prefetch
-   ratio*) from the VoR-tree together with their influential neighbour set
-   ``I(R)`` (assembled from the precomputed order-1 Voronoi neighbour lists).
-   The top ``k`` objects of ``R`` are the reported kNN set; the rest of
-   ``R`` plus ``I(R)`` act as the safe guarding objects (the IS).
-
-2. **Validation** (Section III-A).  At every new position the client finds
-   the farthest current kNN member (``r.delete``) and the nearest guard
-   object (``r.candidate``).  The kNN set is still valid while
-   ``d(q, r.delete) <= d(q, r.candidate)``; this costs one distance
-   evaluation per held object — linear in k.
-
-3. **Update** (Section III-B).  When validation fails the client first tries
-   to recompose the kNN set from the prefetched set ``R`` alone (case (ii),
-   "the new kNN set is still in R"): the candidate answer is the top-k of
-   ``R`` by current distance, accepted only if it passes the same IS
-   validation — which is sound because ``(R ∪ I(R)) \\ O'`` is a superset of
-   ``INS(O')`` for any ``O' ⊆ R``.  A successful recomposition costs no
-   communication.  Otherwise the new answer involves an object outside
-   ``R`` and the server recomputes ``R`` and ``I(R)`` from scratch
-   (case (ii) fallback / case (i) with an unknown neighbour list).
-
-**Data-object updates** arrive through :meth:`INSProcessor.notify_data_update`
-(the serving engine pushes the VoR-tree's repair deltas).  The processor
-does not reconstruct anything eagerly — it accumulates the delta and
-settles it on its next timestamp, exactly like the road-side
-:class:`~repro.core.ins_road.INSRoadProcessor`:
-
-* a removal inside the prefetched set R invalidates R, so the next
-  timestamp pays one full retrieval;
-* any other delta touching the held pool (R ∪ I(R)) only refreshes I(R)
-  from the already-patched shared neighbour lists (a few set unions).  This
-  is sound because the INS guarantee is a statement about the *current*
-  diagram: validation against a freshly derived I(R) certifies the held kNN
-  set against the current data set, whatever changed;
-* a delta that leaves the pool untouched is absorbed for free: if an
-  unseen object were among the true kNN it would, by the Voronoi chain
-  property, be a neighbour of some held object — and then the delta would
-  have touched the pool.
-
-The pre-delta behaviour (every update forces a full retrieval) survives as
-:meth:`INSProcessor.invalidate`, the engine's ``"flag"`` fallback mode.
-
-Cost accounting: every retrieval transmits ``|R| + |I(R)|`` objects; every
-validation and local recomposition counts its distance computations.
+* Euclidean distances, one arithmetic evaluation per held object;
+* retrieval from the shared :class:`~repro.index.vortree.VoRTree`, with
+  ``I(R)`` assembled from its precomputed order-1 Voronoi neighbour lists;
+* the paper's optional case (i): when the answer changes by a single
+  object, swap it in and fetch only that object's neighbour list instead
+  of recomputing ``R`` and ``I(R)``.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError, QueryError
-from repro.core.objects import QueryResult, UpdateAction
 from repro.core.processor import MovingKNNProcessor
-from repro.core.stats import ProcessorStats
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
 
@@ -97,46 +57,16 @@ class INSProcessor(MovingKNNProcessor[Point]):
         allow_incremental: bool = False,
     ):
         super().__init__(k)
-        if k < 1:
-            raise ConfigurationError("k must be at least 1")
-        if k >= len(points):
-            raise ConfigurationError(
-                f"k={k} must be smaller than the number of data objects ({len(points)})"
-            )
-        if rho < 1.0:
-            raise ConfigurationError("the prefetch ratio rho must be at least 1")
-        self._rho = rho
+        self._check_ins_arguments(k, len(points), rho)
         self._allow_incremental = allow_incremental
         with self._stats.time_precomputation():
             self._vortree = vortree if vortree is not None else VoRTree(list(points))
-        # Cap the prefetch size by the *active* population (a shared tree
-        # may already carry tombstones), not by the raw point count.
-        population = len(self._vortree)
-        if k >= population:
-            raise ConfigurationError(
-                f"k={k} must be smaller than the number of active data objects ({population})"
-            )
-        self._prefetch_count = min(max(int(rho * k), k), population - 1)
+        self._init_prefetch(rho, len(self._vortree))
         # Live view of the server-side object positions: it grows as objects
         # are inserted, so data updates never copy the n-point list around.
         self._points: Sequence[Point] = self._vortree.positions
-        # Client-side state.
-        self._R: List[int] = []
-        self._ins: Set[int] = set()
-        self._knn: List[int] = []
-        # Cached pool (R ∪ I(R)) and guard set (pool \ kNN); rebuilt only
-        # when R / I(R) / the answer change, not on every timestamp.
-        self._pool: Set[int] = set()
-        self._guard: FrozenSet[int] = frozenset()
         # Per-member Voronoi neighbour lists (needed for incremental updates).
         self._neighbor_lists: Dict[int, Set[int]] = {}
-        # Data-update delta accumulated since the last answer (pushed by the
-        # serving engine); settled lazily on the next timestamp.
-        self._state_stale = False
-        self._force_refresh = False
-        self._pending_changed: Set[int] = set()
-        self._pending_removed: Set[int] = set()
-        self._last_position: Optional[Point] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -144,31 +74,6 @@ class INSProcessor(MovingKNNProcessor[Point]):
     @property
     def name(self) -> str:
         return "INS"
-
-    @property
-    def rho(self) -> float:
-        """The prefetch ratio ρ."""
-        return self._rho
-
-    @property
-    def prefetch_count(self) -> int:
-        """The number of objects retrieved per server round trip (⌊ρk⌋)."""
-        return self._prefetch_count
-
-    @property
-    def prefetched_set(self) -> List[int]:
-        """The current prefetched set R (object indexes, nearest first at retrieval time)."""
-        return list(self._R)
-
-    @property
-    def influential_set(self) -> Set[int]:
-        """The current I(R)."""
-        return set(self._ins)
-
-    @property
-    def guard_set(self) -> Set[int]:
-        """The current safe guarding objects: I(R) ∪ R \\ kNN."""
-        return set(self._guard)
 
     @property
     def vortree(self) -> VoRTree:
@@ -180,42 +85,9 @@ class INSProcessor(MovingKNNProcessor[Point]):
         """Whether case (i) single-object incremental updates are enabled."""
         return self._allow_incremental
 
-    @property
-    def state_stale(self) -> bool:
-        """True when a data-update delta is pending for the next timestamp."""
-        return self._state_stale
-
-    @property
-    def last_position(self) -> Optional[Point]:
-        """The last query position processed (None before initialisation)."""
-        return self._last_position
-
     # ------------------------------------------------------------------
-    # Data-object updates (Section III, last paragraph)
+    # Standalone data-object updates (a processor that owns its tree)
     # ------------------------------------------------------------------
-    def notify_data_update(
-        self, changed: Iterable[int] = (), removed: Iterable[int] = ()
-    ) -> None:
-        """Record a VoR-tree repair delta; settled lazily on the next timestamp.
-
-        Args:
-            changed: objects whose Voronoi neighbour lists changed.
-            removed: objects deleted from the data set.
-        """
-        self._pending_changed.update(changed)
-        self._pending_removed.update(removed)
-        self._state_stale = True
-
-    def invalidate(self) -> None:
-        """Blanket invalidation: force a full retrieval on the next timestamp.
-
-        This is the pre-delta contract (every registered query refreshes on
-        every epoch), kept as the serving engine's ``"flag"`` fallback mode
-        and as the oracle of the delta-equivalence tests.
-        """
-        self._force_refresh = True
-        self._state_stale = True
-
     def insert_object(self, point: Point) -> int:
         """Insert a new data object at ``point`` and return its object index.
 
@@ -237,179 +109,34 @@ class INSProcessor(MovingKNNProcessor[Point]):
             self.notify_data_update(changed, (index,))
         return removed
 
-    def _consume_data_updates(self, position: Point) -> Optional[QueryResult]:
-        """Settle the accumulated data-update delta.
-
-        Returns a full-recompute :class:`QueryResult` when the delta forced
-        a retrieval, or None when the held state was refreshed (or
-        untouched) and the normal validation flow should proceed.
-        """
-        changed = self._pending_changed
-        removed = self._pending_removed
-        force = self._force_refresh
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
-        if force or removed.intersection(self._R):
-            # Blanket invalidation, or the prefetched set lost a member: R
-            # no longer reflects the ⌊ρk⌋ nearest objects, recompute it.
-            self._stats.validations += 1
-            self._retrieve(position)
-            distances = self._distances(position, self._knn)
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=tuple(distances),
-                guard_objects=self._guard,
-                action=UpdateAction.FULL_RECOMPUTE,
-                was_valid=False,
-            )
-        if removed & self._ins or changed & self._pool:
-            # The delta touched the held region: re-derive I(R) (and the
-            # neighbour lists the incremental mode relies on) from the
-            # already-patched shared tree — a few set unions, no kNN
-            # recomputation.  The validation that follows certifies the
-            # held answer against the fresh guard set, which is what makes
-            # this refresh sound.
-            with self._stats.time_construction():
-                for member in changed.intersection(self._R):
-                    self._neighbor_lists[member] = self._vortree.voronoi_neighbors(member)
-                self._ins = self._vortree.influential_neighbor_set(self._R)
-                self._stats.ins_refreshes += 1
-                incoming = len(self._ins - self._pool)
-                if incoming:
-                    # New guard objects crossed the server-client boundary:
-                    # charge them like a case-(i) incremental fetch so
-                    # comm_events stays an honest round-trip count.
-                    self._stats.transmitted_objects += incoming
-                    self._stats.incremental_updates += 1
-                self._refresh_cached_sets()
-        else:
-            # The delta missed the pool: every held neighbour list is
-            # unchanged, so the guard set the next validation uses is
-            # already the correct one.  Free.
-            self._stats.absorbed_updates += 1
-        return None
-
     # ------------------------------------------------------------------
-    # Lifecycle hooks
+    # Metric hooks of the INS skeleton
     # ------------------------------------------------------------------
-    def _initialize(self, position: Point) -> QueryResult:
-        self._last_position = position
-        self._state_stale = False
-        self._force_refresh = False
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._retrieve(position)
-        distances = self._distances(position, self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(self._knn),
-            knn_distances=tuple(distances),
-            guard_objects=self._guard,
-            action=UpdateAction.FULL_RECOMPUTE,
-            was_valid=False,
+    def _fetch(self, position: Point) -> Tuple[List[int], Set[int]]:
+        self._vortree.rtree.reset_counters()
+        nearest, ins = self._vortree.retrieve(
+            position, self._prefetch_size(len(self._vortree))
         )
+        self._stats.index_node_accesses += self._vortree.rtree.node_accesses
+        self._neighbor_lists = {
+            index: self._vortree.voronoi_neighbors(index) for index in nearest
+        }
+        return nearest, ins
 
-    def _update(self, position: Point) -> QueryResult:
-        self._last_position = position
-        if self._state_stale:
-            # The data set changed since the last answer: settle the delta.
-            forced = self._consume_data_updates(position)
-            if forced is not None:
-                return forced
-        with self._stats.time_validation():
-            self._stats.validations += 1
-            pool_distances = self._pool_distances(position)
-            valid = self._is_valid(pool_distances)
-        if valid:
-            distances = [pool_distances[index] for index in self._knn]
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=tuple(distances),
-                guard_objects=self._guard,
-                action=UpdateAction.NONE,
-                was_valid=True,
-            )
-        action = self._perform_update(position, pool_distances)
-        distances = self._distances(position, self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(self._knn),
-            knn_distances=tuple(distances),
-            guard_objects=self._guard,
-            action=action,
-            was_valid=False,
-        )
+    def _refresh_influential(self, changed: Set[int]) -> Set[int]:
+        # Keep the neighbour lists the incremental mode relies on current.
+        for member in changed.intersection(self._R):
+            self._neighbor_lists[member] = self._vortree.voronoi_neighbors(member)
+        return self._vortree.influential_neighbor_set(self._R)
 
-    # ------------------------------------------------------------------
-    # INS machinery
-    # ------------------------------------------------------------------
-    def _retrieve(self, position: Point) -> None:
-        """Server round trip: recompute R, I(R) and the kNN set at ``position``."""
-        with self._stats.time_construction():
-            self._vortree.rtree.reset_counters()
-            # Deletions since construction may have shrunk the population
-            # below the configured prefetch size; shrink the request, but
-            # never below k — if fewer than k objects remain, the VoR-tree
-            # raises its loud QueryError rather than silently under-filling
-            # the answer.
-            count = max(self.k, min(self._prefetch_count, len(self._vortree)))
-            nearest, ins = self._vortree.retrieve(position, count)
-            self._stats.index_node_accesses += self._vortree.rtree.node_accesses
-            self._R = nearest
-            self._ins = ins
-            self._knn = nearest[: self.k]
-            self._neighbor_lists = {
-                index: self._vortree.voronoi_neighbors(index) for index in self._R
-            }
-            self._stats.full_recomputations += 1
-            self._stats.transmitted_objects += len(self._R) + len(self._ins)
-            self._refresh_cached_sets()
-
-    def _refresh_cached_sets(self) -> None:
-        """Recompute the cached pool (R ∪ I(R)) and guard set (pool \\ kNN)."""
-        self._pool = set(self._R) | self._ins
-        self._guard = frozenset(self._pool.difference(self._knn))
-
-    def _pool_distances(self, position: Point) -> Dict[int, float]:
-        """Distances from ``position`` to every client-held object (R ∪ I(R))."""
+    def _held_distances(self, position: Point) -> Dict[int, float]:
         self._stats.distance_computations += len(self._pool)
         return {index: position.distance_to(self._points[index]) for index in self._pool}
 
-    def _is_valid(self, pool_distances: Dict[int, float]) -> bool:
-        """Section III-A validation: farthest kNN vs nearest guard object."""
-        if not self._guard:
-            return True
-        farthest_knn = max(pool_distances[index] for index in self._knn)
-        nearest_guard = min(pool_distances[index] for index in self._guard)
-        return farthest_knn <= nearest_guard
+    def _answer_distances(self, position: Point) -> List[float]:
+        return [position.distance_to(self._points[index]) for index in self._knn]
 
-    def _perform_update(self, position: Point, pool_distances: Dict[int, float]) -> UpdateAction:
-        """Section III-B update: recompose from R when possible, else retrieve."""
-        with self._stats.time_validation():
-            candidate = heapq.nsmallest(
-                self.k, self._R, key=lambda index: (pool_distances[index], index)
-            )
-            guard = self._pool.difference(candidate)
-            farthest = max(pool_distances[index] for index in candidate)
-            nearest_guard = min(pool_distances[index] for index in guard) if guard else math.inf
-            if farthest <= nearest_guard:
-                # Case (ii), first branch: the new kNN set is still inside R.
-                self._knn = candidate
-                self._guard = frozenset(guard)
-                self._stats.local_reorders += 1
-                return UpdateAction.LOCAL_REORDER
-        if self._allow_incremental and self._incremental_update(position):
-            return UpdateAction.INCREMENTAL
-        # Case (i) with an unknown neighbour list or case (ii) fallback: the
-        # answer involves an object outside R; recompute R and I(R).
-        self._retrieve(position)
-        return UpdateAction.FULL_RECOMPUTE
-
-    def _incremental_update(self, position: Point) -> bool:
+    def _update_incrementally(self, position: Point) -> bool:
         """Case (i): compose the new answer by single-object swaps.
 
         Each swap replaces the farthest current member of R with the nearest
@@ -419,23 +146,15 @@ class INSProcessor(MovingKNNProcessor[Point]):
         :data:`MAX_INCREMENTAL_SWAPS` swaps (failure — the caller falls back
         to a full retrieval).  Returns True on success.
         """
+        if not self._allow_incremental:
+            return False
         saved_R = list(self._R)
         saved_lists = dict(self._neighbor_lists)
         saved_knn = list(self._knn)
         transmitted = 0
         for _ in range(self.MAX_INCREMENTAL_SWAPS):
-            pool_distances = self._pool_distances(position)
-            candidate_knn = heapq.nsmallest(
-                self.k, self._R, key=lambda index: (pool_distances[index], index)
-            )
-            guard = self._pool.difference(candidate_knn)
-            farthest = max(pool_distances[index] for index in candidate_knn)
-            nearest_guard = (
-                min(pool_distances[index] for index in guard) if guard else math.inf
-            )
-            if farthest <= nearest_guard:
-                self._knn = candidate_knn
-                self._guard = frozenset(guard)
+            pool_distances = self._held_distances(position)
+            if self._reorder_within(pool_distances):
                 self._stats.incremental_updates += 1
                 self._stats.transmitted_objects += transmitted
                 return True
@@ -460,9 +179,3 @@ class INSProcessor(MovingKNNProcessor[Point]):
         self._ins = set().union(*self._neighbor_lists.values()) - set(self._R)
         self._refresh_cached_sets()
         return False
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _distances(self, position: Point, indexes: Sequence[int]) -> List[float]:
-        return [position.distance_to(self._points[index]) for index in indexes]

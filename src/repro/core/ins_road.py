@@ -21,34 +21,19 @@ Two validation modes are provided:
   Dijkstra that stops when every held object is settled.  This mode is used
   by the tests as a cross-check and is also a fair "no Theorem 2" ablation.
 
-**Data-object updates** arrive through :meth:`INSRoadProcessor.notify_data_update`
-(the road server pushes the shared diagram's repair deltas).  The processor
-does not reconstruct anything eagerly — it accumulates the delta and settles
-it on its next timestamp:
-
-* a removal inside the prefetched set R invalidates R, so the next timestamp
-  pays one full retrieval;
-* any other delta touching the held pool (R ∪ I(R)) only refreshes I(R) and
-  the Theorem 2 sub-network from the already-repaired shared diagram — a few
-  dictionary unions instead of a reconstruction.  This is sound because
-  Theorem 1 is a statement about the *current* diagram: validation against a
-  freshly derived I(R) certifies the held kNN set against the current data
-  set, whatever changed;
-* a delta that leaves the pool untouched is absorbed for free: the
-  neighbour sets of every held object are unchanged, so the guard set the
-  next validation uses is already the correct one.
+The metric-agnostic INS skeleton and the lazy settling of data-update
+deltas live in :class:`~repro.core.processor.MovingKNNProcessor`; this
+module supplies the network distances, the retrieval and the ``I(R)`` +
+sub-network refresh.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError, QueryError, RoadNetworkError
-from repro.core.objects import QueryResult, UpdateAction
+from repro.errors import ConfigurationError
 from repro.core.processor import MovingKNNProcessor
-from repro.geometry.point import Point
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn
 from repro.roadnet.location import NetworkLocation
@@ -82,20 +67,12 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
         voronoi: Optional[NetworkVoronoiDiagram] = None,
     ):
         super().__init__(k)
-        if k < 1:
-            raise ConfigurationError("k must be at least 1")
-        if k >= len(object_vertices):
-            raise ConfigurationError(
-                f"k={k} must be smaller than the number of data objects ({len(object_vertices)})"
-            )
-        if rho < 1.0:
-            raise ConfigurationError("the prefetch ratio rho must be at least 1")
+        self._check_ins_arguments(k, len(object_vertices), rho)
         if validation_mode not in self.VALIDATION_MODES:
             raise ConfigurationError(
                 f"validation_mode must be one of {self.VALIDATION_MODES}, got {validation_mode!r}"
             )
         self._network = network
-        self._rho = rho
         self._validation_mode = validation_mode
         self._search_stats = SearchStats()
         with self._stats.time_precomputation():
@@ -108,27 +85,11 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
         # objects are inserted and are patched in place by moves, so data
         # updates never copy per-object state into each registered query.
         self._object_vertices: Sequence[int] = self._voronoi.vertex_assignments
-        population = self._voronoi.object_count()
-        if k >= population:
-            raise ConfigurationError(
-                f"k={k} must be smaller than the number of active data objects ({population})"
-            )
-        self._prefetch_count = min(max(int(rho * k), k), population - 1)
-        # Client-side state.
-        self._R: List[int] = []
-        self._ins: Set[int] = set()
-        self._knn: List[int] = []
+        self._init_prefetch(rho, self._voronoi.object_count())
         # Cached Theorem 2 sub-network for the current held set.
         self._restricted: Optional[RoadNetwork] = None
         self._restricted_vertex_map: Dict[int, int] = {}
         self._restricted_edge_map: Dict[int, int] = {}
-        # Data-update delta accumulated since the last answer (pushed by the
-        # road server); settled lazily on the next timestamp.
-        self._state_stale = False
-        self._force_refresh = False
-        self._pending_changed: Set[int] = set()
-        self._pending_removed: Set[int] = set()
-        self._last_position: Optional[NetworkLocation] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -139,218 +100,48 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
         return f"INS-road{suffix}"
 
     @property
-    def rho(self) -> float:
-        """The prefetch ratio ρ."""
-        return self._rho
-
-    @property
-    def prefetch_count(self) -> int:
-        """The number of objects retrieved per server round trip (⌊ρk⌋)."""
-        return self._prefetch_count
-
-    @property
     def voronoi(self) -> NetworkVoronoiDiagram:
         """The precomputed order-1 network Voronoi diagram."""
         return self._voronoi
 
-    @property
-    def guard_set(self) -> Set[int]:
-        """The current safe guarding objects: I(R) ∪ R \\ kNN."""
-        return (set(self._R) | self._ins) - set(self._knn)
-
-    @property
-    def influential_set(self) -> Set[int]:
-        """The current I(R)."""
-        return set(self._ins)
-
-    @property
-    def prefetched_set(self) -> List[int]:
-        """The current prefetched set R."""
-        return list(self._R)
-
-    @property
-    def state_stale(self) -> bool:
-        """True when a data-update delta is pending for the next timestamp."""
-        return self._state_stale
-
-    @property
-    def last_position(self) -> Optional[NetworkLocation]:
-        """The last query position processed (None before initialisation)."""
-        return self._last_position
-
     # ------------------------------------------------------------------
-    # Data-object updates (pushed by the road server)
+    # Metric hooks of the INS skeleton
     # ------------------------------------------------------------------
-    def notify_data_update(
-        self, changed: Iterable[int] = (), removed: Iterable[int] = ()
-    ) -> None:
-        """Record a diagram repair delta; settled lazily on the next timestamp.
-
-        Args:
-            changed: objects whose Voronoi neighbour sets (or cells) changed.
-            removed: objects deleted from the data set.
-        """
-        self._pending_changed.update(changed)
-        self._pending_removed.update(removed)
-        self._state_stale = True
-
-    def invalidate(self) -> None:
-        """Blanket invalidation: force a full retrieval on the next timestamp.
-
-        The serving engine's ``"flag"`` fallback mode (the pre-delta
-        contract: every query refreshes fully on every epoch), kept as the
-        oracle of the delta-equivalence tests.
-        """
-        self._force_refresh = True
-        self._state_stale = True
-
-    def _consume_data_updates(self, position: NetworkLocation) -> Optional[QueryResult]:
-        """Settle the accumulated delta.
-
-        Returns a full-recompute :class:`QueryResult` when the delta forced a
-        retrieval, or None when the held state was refreshed (or untouched)
-        and the normal validation flow should proceed.
-        """
-        changed = self._pending_changed
-        removed = self._pending_removed
-        force = self._force_refresh
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
-        if force or removed.intersection(self._R):
-            # Blanket invalidation, or the prefetched set lost a member: R
-            # no longer reflects the ⌊ρk⌋ nearest objects, recompute it.
-            self._stats.validations += 1
-            self._retrieve(position)
-            distances = self._held_distances(position)
-            knn_distances = tuple(distances[index] for index in self._knn)
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=knn_distances,
-                guard_objects=frozenset(self.guard_set),
-                action=UpdateAction.FULL_RECOMPUTE,
-                was_valid=False,
-            )
-        pool = set(self._R) | self._ins
-        if removed & self._ins or changed & pool:
-            # The delta touched the held region: re-derive I(R) and the
-            # Theorem 2 sub-network from the repaired shared diagram (a few
-            # dictionary unions — no kNN recomputation).  The validation
-            # that follows certifies the held answer against the fresh
-            # guard set, which is what makes this refresh sound.
-            with self._stats.time_construction():
-                self._ins = self._voronoi.influential_neighbor_set(self._R)
-                self._stats.ins_refreshes += 1
-                incoming = len(self._ins - pool)
-                if incoming:
-                    # New guard objects crossed the server-client boundary:
-                    # that is a (small) communication event, charge it like
-                    # a case-(i) incremental fetch so comm_events stays an
-                    # honest round-trip count.
-                    self._stats.transmitted_objects += incoming
-                    self._stats.incremental_updates += 1
-                self._rebuild_restricted_network()
-        else:
-            # A delta outside the pool left every held neighbour set
-            # unchanged: nothing to refresh, the normal validation is
-            # already sound.  Free.
-            self._stats.absorbed_updates += 1
-        return None
-
-    # ------------------------------------------------------------------
-    # Lifecycle hooks
-    # ------------------------------------------------------------------
-    def _initialize(self, position: NetworkLocation) -> QueryResult:
-        self._last_position = position
-        self._state_stale = False
-        self._force_refresh = False
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._retrieve(position)
-        distances = self._held_distances(position)
-        knn_distances = tuple(distances[index] for index in self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(self._knn),
-            knn_distances=knn_distances,
-            guard_objects=frozenset(self.guard_set),
-            action=UpdateAction.FULL_RECOMPUTE,
-            was_valid=False,
+    def _fetch(self, position: NetworkLocation) -> Tuple[List[int], Set[int]]:
+        before = self._search_stats.settled_vertices
+        # The diagram's live vertex → objects map saves the O(n) dictionary
+        # construction inside network_knn.
+        nearest = network_knn(
+            self._network,
+            self._object_vertices,
+            position,
+            self._prefetch_size(self._voronoi.object_count()),
+            stats=self._search_stats,
+            objects_at_vertex=self._voronoi.vertex_objects(),
         )
+        self._stats.settled_vertices += self._search_stats.settled_vertices - before
+        R = [index for index, _ in nearest]
+        return R, self._voronoi.influential_neighbor_set(R)
 
-    def _update(self, position: NetworkLocation) -> QueryResult:
-        self._last_position = position
-        if self._state_stale:
-            forced = self._consume_data_updates(position)
-            if forced is not None:
-                return forced
-        with self._stats.time_validation():
-            self._stats.validations += 1
-            distances = self._held_distances(position)
-            valid = self._is_valid(distances)
-        if valid:
-            knn_distances = tuple(distances[index] for index in self._knn)
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=knn_distances,
-                guard_objects=frozenset(self.guard_set),
-                action=UpdateAction.NONE,
-                was_valid=True,
-            )
-        action = self._perform_update(position, distances)
-        distances = self._held_distances(position)
-        knn_distances = tuple(distances[index] for index in self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(self._knn),
-            knn_distances=knn_distances,
-            guard_objects=frozenset(self.guard_set),
-            action=action,
-            was_valid=False,
-        )
+    def _refresh_influential(self, changed: Set[int]) -> Set[int]:
+        return self._voronoi.influential_neighbor_set(self._R)
 
-    # ------------------------------------------------------------------
-    # INS machinery
-    # ------------------------------------------------------------------
-    def _retrieve(self, position: NetworkLocation) -> None:
-        """Server round trip: recompute R, I(R) and the kNN set at ``position``."""
-        with self._stats.time_construction():
-            before = self._search_stats.settled_vertices
-            # Deletions since registration may have shrunk the population
-            # below the configured prefetch size; shrink the request, but
-            # never below k.  The diagram's live vertex → objects map saves
-            # the O(n) dictionary construction inside network_knn.
-            count = max(self.k, min(self._prefetch_count, self._voronoi.object_count()))
-            nearest = network_knn(
-                self._network,
-                self._object_vertices,
-                position,
-                count,
-                stats=self._search_stats,
-                objects_at_vertex=self._voronoi.vertex_objects(),
-            )
-            self._stats.settled_vertices += self._search_stats.settled_vertices - before
-            self._R = [index for index, _ in nearest]
-            self._ins = self._voronoi.influential_neighbor_set(self._R)
-            self._knn = self._R[: self.k]
-            self._stats.full_recomputations += 1
-            self._stats.transmitted_objects += len(self._R) + len(self._ins)
-            self._rebuild_restricted_network()
-
-    def _rebuild_restricted_network(self) -> None:
-        """Build the Theorem 2 sub-network for the current held objects."""
+    def _refresh_cached_sets(self) -> None:
+        """Refresh the cached pool and guard, and the Theorem 2 sub-network
+        of the held objects (R or I(R) changed)."""
+        super()._refresh_cached_sets()
         if self._validation_mode != "restricted":
             self._restricted = None
             return
-        held = set(self._R) | self._ins
         (
             self._restricted,
             self._restricted_vertex_map,
             self._restricted_edge_map,
-        ) = self._voronoi.restricted_subnetwork(held)
+        ) = self._voronoi.restricted_subnetwork(self._pool)
+
+    def _answer_distances(self, position: NetworkLocation) -> List[float]:
+        distances = self._held_distances(position)
+        return [distances[index] for index in self._knn]
 
     def _held_distances(self, position: NetworkLocation) -> Dict[int, float]:
         """Network distances from ``position`` to every held object.
@@ -360,7 +151,7 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
         query escaped the region entirely between timestamps) the method
         transparently falls back to the full network for this evaluation.
         """
-        held = sorted(set(self._R) | self._ins)
+        held = sorted(self._pool)
         targets = {self._object_vertices[index] for index in held}
         before = self._search_stats.settled_vertices
         if self._validation_mode == "restricted" and self._restricted is not None:
@@ -400,32 +191,3 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
         if mapped_edge is None:
             return None
         return NetworkLocation(mapped_edge, position.offset)
-
-    def _is_valid(self, distances: Dict[int, float]) -> bool:
-        """Validation: farthest kNN member vs nearest guard object."""
-        guard = self.guard_set
-        if not guard:
-            return True
-        farthest_knn = max(distances[index] for index in self._knn)
-        nearest_guard = min(distances[index] for index in guard)
-        return farthest_knn <= nearest_guard
-
-    def _perform_update(
-        self, position: NetworkLocation, distances: Dict[int, float]
-    ) -> UpdateAction:
-        """Recompose the answer from R when possible, else retrieve."""
-        with self._stats.time_validation():
-            # Top-k by a bounded heap instead of sorting all of R — the
-            # same O(|R| log k) selection the Euclidean processor uses.
-            candidate = heapq.nsmallest(
-                self.k, self._R, key=lambda index: (distances[index], index)
-            )
-            guard = (set(self._R) | self._ins) - set(candidate)
-            farthest = max(distances[index] for index in candidate)
-            nearest_guard = min(distances[index] for index in guard) if guard else math.inf
-            if math.isfinite(farthest) and farthest <= nearest_guard:
-                self._knn = candidate
-                self._stats.local_reorders += 1
-                return UpdateAction.LOCAL_REORDER
-        self._retrieve(position)
-        return UpdateAction.FULL_RECOMPUTE

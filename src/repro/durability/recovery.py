@@ -287,19 +287,6 @@ class DurableKNNService(KNNService):
         super().apply_remote_delta(delta)
         self._log(delta)
 
-    # Single-object mutators route through apply() so they are logged with
-    # the same epoch-per-call semantics they will replay with.
-    def insert(self, target: Any) -> int:
-        result = self.apply(UpdateBatch(inserts=(target,)))
-        return result.new_indexes[0]
-
-    def delete(self, index: int) -> bool:
-        result = self.apply(UpdateBatch(deletes=(index,)))
-        return bool(result.deleted_indexes)
-
-    def move(self, index: int, target: Any):
-        return self.apply(UpdateBatch(moves=((index, target),)))
-
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------

@@ -8,10 +8,11 @@ cell from :mod:`repro.geometry.order_k`, built over the live VoR-tree's
 active sites; :mod:`repro.baselines.order_k_region` is the brute-force
 oracle.
 
-Delta invalidation follows the same lazy contract as ``INSProcessor``:
-``notify_data_update`` only accumulates the pending delta, and the
-processor settles it on the next timestamp.  A pending delta can be
-*absorbed* for free when it provably leaves the held cell intact:
+Delta invalidation uses the shared lazy inbox of
+:class:`~repro.core.processor.MovingKNNProcessor`: ``notify_data_update``
+only accumulates the pending delta, and the processor settles it on the
+next timestamp.  A pending delta can be *absorbed* for free when it
+provably leaves the held cell intact:
 
 - removals that miss the member set keep every clipping bisector that
   bounds the cell valid (dropping a non-member only grows the true region,
@@ -29,7 +30,7 @@ next answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
@@ -105,13 +106,7 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         self._bounding_box = bounding_box
         self._members: Tuple[int, ...] = ()
         self._cell: Optional[OrderKCell] = None
-        self._last_position: Optional[Point] = None
         self._prev_member_set: Optional[FrozenSet[int]] = None
-        # Pending data-update delta, settled lazily on the next timestamp.
-        self._state_stale = False
-        self._force_refresh = False
-        self._pending_changed: Set[int] = set()
-        self._pending_removed: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -119,10 +114,6 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
     @property
     def name(self) -> str:
         return "OrderK-Region"
-
-    @property
-    def rho(self) -> float:
-        return self._rho
 
     @property
     def vortree(self) -> VoRTree:
@@ -138,30 +129,9 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         """The held order-k cell (None before initialisation)."""
         return self._cell
 
-    @property
-    def last_position(self) -> Optional[Point]:
-        return self._last_position
-
-    @property
-    def state_stale(self) -> bool:
-        return self._state_stale
-
     # ------------------------------------------------------------------
-    # Delta-invalidation contract (mirrors INSProcessor)
+    # Delta settlement
     # ------------------------------------------------------------------
-    def notify_data_update(
-        self, changed: Iterable[int] = (), removed: Iterable[int] = ()
-    ) -> None:
-        """Record a data-update delta; settled lazily at the next answer."""
-        self._pending_changed.update(changed)
-        self._pending_removed.update(removed)
-        self._state_stale = True
-
-    def invalidate(self) -> None:
-        """Blanket invalidation: force a recompute at the next answer."""
-        self._force_refresh = True
-        self._state_stale = True
-
     def _cell_invaded(self, changed: Set[int], removed: Set[int]) -> bool:
         """Exact vertex test: does any changed active site invade the cell?"""
         if self._cell is None or self._cell.polygon.is_empty:
@@ -192,13 +162,7 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         """Settle the accumulated delta; True when a recompute is required."""
         if not self._state_stale:
             return False
-        changed = self._pending_changed
-        removed = self._pending_removed
-        force = self._force_refresh
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
+        force, changed, removed = self._drain_inbox()
         if force or self._cell is None:
             return True
         if removed & set(self._members):
@@ -264,17 +228,12 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         )
 
     def _initialize(self, position: Point) -> RegionResult:
-        self._last_position = position
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
+        self._drain_inbox()
         self._prev_member_set = None
         self._recompute(position)
         return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
 
     def _update(self, position: Point) -> RegionResult:
-        self._last_position = position
         if self._settle_pending():
             self._recompute(position)
             return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)

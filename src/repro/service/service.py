@@ -29,11 +29,12 @@ exchanges of its own).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, QueryError
-from repro.core.road_server import MovingRoadKNNServer, RoadBatchUpdateResult
-from repro.core.server import BatchUpdateResult, MovingKNNServer
+from repro.core.engine import BatchUpdateResult, ServingEngine
+from repro.core.road_server import MovingRoadKNNServer
+from repro.core.server import MovingKNNServer
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.service.messages import KNNResponse, UpdateBatch
 from repro.service.session import Session
@@ -53,19 +54,14 @@ class KNNService:
     pre-configured server through the session API.
 
     Args:
-        engine: the backing :class:`MovingKNNServer` or
-            :class:`MovingRoadKNNServer`.
+        engine: the backing :class:`~repro.core.engine.ServingEngine`
+            (a :class:`MovingKNNServer` or :class:`MovingRoadKNNServer`).
     """
 
-    def __init__(self, engine):
-        if isinstance(engine, MovingKNNServer):
-            self._metric = "euclidean"
-        elif isinstance(engine, MovingRoadKNNServer):
-            self._metric = "road"
-        else:
+    def __init__(self, engine: ServingEngine):
+        if not isinstance(engine, ServingEngine):
             raise ConfigurationError(
-                f"KNNService requires a MovingKNNServer or MovingRoadKNNServer, "
-                f"got {type(engine).__name__}"
+                f"KNNService requires a ServingEngine, got {type(engine).__name__}"
             )
         self._engine = engine
         self._sessions: Dict[int, Session] = {}
@@ -117,7 +113,7 @@ class KNNService:
     @property
     def metric(self) -> str:
         """``"euclidean"`` or ``"road"``."""
-        return self._metric
+        return self._engine.METRIC
 
     @property
     def engine(self):
@@ -147,16 +143,12 @@ class KNNService:
     def active_object_indexes(self) -> List[int]:
         """Indexes of the active data objects, in the index's native order.
 
-        Metric-agnostic view over ``vortree.active_indexes()`` /
-        ``voronoi.active_object_indexes()``.  The order is part of the
-        contract: workload drivers sample churn victims from it with a
-        seeded RNG, so a transport that relays this list (the
-        ``repro.transport`` objects frame) must preserve it for remote
-        runs to realise the exact same update streams.
+        The order is part of the contract: workload drivers sample churn
+        victims from it with a seeded RNG, so a transport that relays this
+        list (the ``repro.transport`` objects frame) must preserve it for
+        remote runs to realise the exact same update streams.
         """
-        if self._metric == "road":
-            return list(self._engine.voronoi.active_object_indexes())
-        return list(self._engine.vortree.active_indexes())
+        return self._engine.active_object_indexes()
 
     @property
     def session_count(self) -> int:
@@ -177,7 +169,7 @@ class KNNService:
 
     def __repr__(self) -> str:
         return (
-            f"KNNService(metric={self._metric!r}, objects={self.object_count}, "
+            f"KNNService(metric={self.metric!r}, objects={self.object_count}, "
             f"sessions={self.session_count}, epoch={self.epoch})"
         )
 
@@ -317,30 +309,24 @@ class KNNService:
     # ------------------------------------------------------------------
     # The data-update stream
     # ------------------------------------------------------------------
-    def apply(self, batch: UpdateBatch):
+    def apply(self, batch: UpdateBatch) -> BatchUpdateResult:
         """Apply one :class:`UpdateBatch` as a single data epoch.
 
         Metric-agnostic: on the road side moves are native vertex
         relocations; on the Euclidean side a move decomposes into delete +
         reinsert at the new position (two object records on the wire), the
-        plane's native relocation.  Returns the engine's batch result
-        (:class:`~repro.core.server.BatchUpdateResult` or
-        :class:`~repro.core.road_server.RoadBatchUpdateResult`).
+        plane's native relocation.  Returns the engine's
+        :class:`~repro.core.engine.BatchUpdateResult`.
 
         Raises:
-            QueryError: when the surviving population would be too small
-                for some open session's ``k`` (the engine's population
-                guard — nothing is applied).
+            QueryError: when a move names an unknown object, or when the
+                surviving population would be too small for some open
+                session's ``k`` — nothing is applied.
+            GeometryError: when a Euclidean insert or move target has a
+                non-finite coordinate — nothing is applied.
         """
-        if self._metric == "road":
-            return self._engine.batch_update(
-                inserts=batch.inserts, deletes=batch.deletes, moves=batch.moves
-            )
-        move_deletes = tuple(index for index, _ in batch.moves)
-        move_inserts = tuple(position for _, position in batch.moves)
         return self._engine.batch_update(
-            inserts=tuple(batch.inserts) + move_inserts,
-            deletes=tuple(batch.deletes) + move_deletes,
+            inserts=batch.inserts, deletes=batch.deletes, moves=batch.moves
         )
 
     def apply_with_delta(self, batch: UpdateBatch):
@@ -365,25 +351,28 @@ class KNNService:
         """Apply a maintenance leader's repair delta as one data epoch.
 
         The read-replica path of ``replication="delta"`` (see
-        :meth:`~repro.core.server.MovingKNNServer.apply_remote_delta`).
+        :meth:`~repro.core.engine.ServingEngine.apply_remote_delta`).
         Overridden by :class:`~repro.durability.recovery.DurableKNNService`
         to also log the delta frame, so a replica's WAL replays to the
         identical state without ever re-running geometry.
         """
         self._engine.apply_remote_delta(delta)
 
+    # The single-object mutators are batches of one through apply(), so a
+    # durable service logs them with the epoch-per-call semantics they
+    # replay with.
     def insert(self, target: Any) -> int:
         """Insert one data object (a Point, or a road vertex); returns its index."""
-        return self._engine.insert_object(target)
+        return self.apply(UpdateBatch(inserts=(target,))).new_indexes[0]
 
     def delete(self, index: int) -> bool:
         """Delete one data object (returns False when already gone)."""
-        return self._engine.delete_object(index)
+        return bool(self.apply(UpdateBatch(deletes=(index,))).deleted_indexes)
 
-    def move(self, index: int, target: Any):
-        """Relocate one data object to ``target`` (vertex or Point)."""
-        if self._metric == "road":
-            return self._engine.move_object(index, target)
+    def move(self, index: int, target: Any) -> BatchUpdateResult:
+        """Relocate one data object to ``target`` (vertex or Point) as a
+        batch of one; returns its :class:`BatchUpdateResult` (on the plane,
+        ``new_indexes`` holds the object's new index)."""
         return self.apply(UpdateBatch(moves=((index, target),)))
 
     # ------------------------------------------------------------------

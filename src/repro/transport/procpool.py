@@ -65,6 +65,8 @@ from repro.errors import (
     ReproError,
     TransportError,
 )
+from repro.core.road_server import MovingRoadKNNServer
+from repro.core.server import MovingKNNServer
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.obs.clock import clock as _obs_clock
 from repro.obs.metrics import (
@@ -179,18 +181,10 @@ class ServiceSpec:
             max_entries=self.max_entries,
         )
 
-    def batch_payload(self, batch: UpdateBatch) -> int:
-        """Object records the engine bills for ``batch`` on this metric.
-
-        Mirrors :meth:`~repro.service.messages.UpdateBatch.payload_size`
-        semantics: the road side applies moves natively (one record each),
-        the Euclidean side decomposes each move into delete + reinsert
-        (two records) before the engine sees it.
-        """
-        records = len(batch.inserts) + len(batch.deletes) + len(batch.moves)
-        if self.metric == "euclidean":
-            records += len(batch.moves)
-        return records
+    @property
+    def engine_class(self):
+        """The :class:`~repro.core.engine.ServingEngine` class of the metric."""
+        return MovingRoadKNNServer if self.metric == "road" else MovingKNNServer
 
 
 def _worker_main(
@@ -894,9 +888,7 @@ class ProcessShardedDispatcher:
                     "engine shards diverged: update batch acknowledged as "
                     f"{ack} vs {reference}"
                 )
-        self._batches_applied += 1
-        self._batch_records_billed += self._spec.batch_payload(batch)
-        self._epoch = reference.epoch
+        self._note_committed(reference, batch)
         if self._faults is not None:
             for victim in self._faults.drains_for(target_epoch):
                 self.drain_worker(victim)
@@ -1002,13 +994,26 @@ class ProcessShardedDispatcher:
             ack = self._reconcile_epoch(worker_index, target_epoch)
             if worker_index == 0 and ack is not None:
                 reference = ack
-        self._batches_applied += 1
-        self._batch_records_billed += self._spec.batch_payload(batch)
-        self._epoch = reference.epoch
+        self._note_committed(reference, batch)
         if self._faults is not None:
             for victim in self._faults.drains_for(target_epoch):
                 self.drain_worker(victim)
         return reference
+
+    def _note_committed(self, ack: BatchApplied, batch: UpdateBatch) -> None:
+        """Advance the pool epoch past an acknowledged batch and remember
+        what every shard's engine billed for it.
+
+        Only a batch that committed an epoch was billed; its record count
+        is the engine's own rule over what shard 0 actually applied, so
+        :meth:`communication` subtracts exactly the duplicated bills.
+        """
+        if ack.epoch != self._epoch:
+            self._batches_applied += 1
+            self._batch_records_billed += self._spec.engine_class.billed_records(
+                ack.new_indexes, ack.deleted_indexes, batch.moves
+            )
+        self._epoch = ack.epoch
 
     # ------------------------------------------------------------------
     # Accounting

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry.point import Point
+from repro.roadnet.generators import grid_network, place_objects
 from repro.service import UpdateBatch, open_service
 from repro.transport import ProcessShardedDispatcher, ServiceSpec
 from repro.workloads.datasets import uniform_points
@@ -33,15 +34,54 @@ class TestServiceSpec:
         assert first.active_object_indexes() == second.active_object_indexes()
         assert first.metric == spec.metric
 
-    def test_batch_payload_mirrors_the_engine_billing(self, spec):
-        batch = UpdateBatch(
-            inserts=(Point(1, 1),), deletes=(2,), moves=((3, Point(4, 4)),)
-        )
-        # Euclidean moves decompose into delete + reinsert: 4 records.
-        assert spec.batch_payload(batch) == 4
+    def test_billed_records_follow_the_engine_rule(self, spec):
+        moves = ((3, Point(4, 4)),)
+        # Euclidean moves decompose into delete + reinsert, so the applied
+        # indexes already carry both halves: 4 records, moves add nothing.
+        assert spec.engine_class.billed_records((7, 8), (2, 3), moves) == 4
         road = ServiceSpec(metric="road", objects=(0, 1, 2), network=object())
-        road_batch = UpdateBatch(inserts=(5,), deletes=(2,), moves=((0, 7),))
-        assert road.batch_payload(road_batch) == 3
+        assert road.engine_class.billed_records((5,), (2,), ((0, 7),)) == 3
+
+
+def billing_spec(metric):
+    if metric == "road":
+        network = grid_network(6, 6, spacing=50.0)
+        objects = tuple(place_objects(network, 20, seed=4))
+        return ServiceSpec(metric="road", objects=objects, network=network)
+    return ServiceSpec(metric="euclidean", objects=tuple(uniform_points(60, seed=4)))
+
+
+@pytest.mark.parametrize("replication", ["recompute", "delta"])
+@pytest.mark.parametrize("metric", ["euclidean", "road"])
+def test_pool_bills_batches_like_one_engine(metric, replication):
+    """The pool de-duplicates exactly what shard 0's engine committed: a
+    duplicate delete bills once, a no-op batch bills nothing, and a move
+    bills the metric's own record count."""
+    spec = billing_spec(metric)
+    if metric == "road":
+        inserted, moved_to = 3, next(v for v in range(36) if v != spec.objects[7])
+    else:
+        inserted, moved_to = Point(10.0, 10.0), Point(20.0, 30.0)
+    batches = [
+        UpdateBatch(deletes=(5, 5)),
+        UpdateBatch(deletes=(5,)),
+        UpdateBatch(inserts=(inserted,)),
+        UpdateBatch(moves=((7, moved_to),)),
+    ]
+    in_process = spec.build()
+    for batch in batches:
+        in_process.apply(batch)
+    expected = in_process.communication.snapshot()
+    with ProcessShardedDispatcher(spec, workers=2, replication=replication) as pool:
+        for batch in batches:
+            pool.apply(batch)
+        assert pool.epoch == in_process.epoch == 3
+        bill = pool.communication()
+    assert (bill.uplink_messages, bill.uplink_objects) == (
+        expected.uplink_messages,
+        expected.uplink_objects,
+    )
+    assert expected.uplink_messages == 3
 
 
 class TestPoolBehaviour:
