@@ -428,6 +428,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         leave a zombie query behind that inflates counts and receives
         deltas forever.
         """
+        self._check_position(position)
         processor.initialize(position)
         query_id = self._next_query_id
         self._next_query_id += 1
@@ -479,6 +480,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         nothing.
         """
         processor = self._processor(query_id)
+        self._check_position(position)
         return self._accounted_update(query_id, processor, position)
 
     def answer(self, query_id: int) -> QueryResult:
@@ -530,6 +532,13 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
 
         The default trusts the index's own up-front checks; a metric whose
         index would fail half-way through a repair overrides this.
+        """
+
+    def _check_position(self, position: PositionT) -> None:
+        """Reject an invalid query position before the processor sees it.
+
+        Runs before a session is admitted or moved, so a rejected position
+        is neither answered nor billed and leaves the processor untouched.
         """
 
     @abc.abstractmethod

@@ -136,6 +136,9 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
     # ------------------------------------------------------------------
     # Index calls
     # ------------------------------------------------------------------
+    def _check_position(self, position: NetworkLocation) -> None:
+        position.validated(self._network)
+
     def _index_batch(self, inserts, deletes, moves):
         return self._voronoi.batch_update(inserts, deletes, moves)
 

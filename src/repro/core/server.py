@@ -128,6 +128,10 @@ class MovingKNNServer(ServingEngine[Point]):
         if not (math.isfinite(target.x) and math.isfinite(target.y)):
             raise GeometryError(f"object position {target} is not finite")
 
+    def _check_position(self, position: Point) -> None:
+        if not (math.isfinite(position.x) and math.isfinite(position.y)):
+            raise GeometryError(f"query position {position} is not finite")
+
     def _index_batch(self, inserts, deletes, moves):
         return self._vortree.batch_update(inserts, deletes)
 

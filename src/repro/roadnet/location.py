@@ -36,7 +36,8 @@ class NetworkLocation:
                 outside ``[0, length]``.
         """
         edge = network.edge(self.edge_id)
-        if self.offset < -1e-9 or self.offset > edge.length + 1e-9:
+        # Written so that a NaN offset fails the range test too.
+        if not -1e-9 <= self.offset <= edge.length + 1e-9:
             raise RoadNetworkError(
                 f"offset {self.offset} outside [0, {edge.length}] on edge {self.edge_id}"
             )

@@ -8,7 +8,10 @@ exchanges were method calls.  This package makes them real:
   format for the protocol (struct-packed frames, no pickle on the hot
   path), with :func:`~repro.transport.codec.wire_size` predicting every
   message's encoded size *exactly*, so measured wire bytes reconcile
-  against the message-level accounting;
+  against the message-level accounting; each frame's layout is one field
+  table from which encoding, decoding and sizing are derived, and the
+  connection's control frames are typed in
+  :mod:`repro.transport.messages`;
 * :mod:`repro.transport.server` — :class:`KNNServer` hosts a
   :class:`~repro.service.service.KNNService` behind a TCP or Unix-domain
   socket, one reader loop per connection, update epochs applied strictly

@@ -1,67 +1,98 @@
 """The binary wire codec of the transport layer.
 
-The PR4 message protocol (:class:`~repro.service.messages.PositionUpdate`,
+The message protocol (:class:`~repro.service.messages.PositionUpdate`,
 :class:`~repro.service.messages.KNNResponse`,
-:class:`~repro.service.messages.UpdateBatch`) already *is* the
-client/server protocol — this module gives it a byte representation so it
-can cross a real process boundary.  Design goals, in order:
+:class:`~repro.service.messages.UpdateBatch` and the control frames of
+:mod:`repro.transport.messages`, which this module re-exports) gets a
+byte representation here so it can cross a real process boundary.
+Design goals, in order:
 
-* **compact** — the hot messages are struct-packed binary (a Euclidean
-  position update is 26 bytes on the wire), no pickle anywhere, so the
-  measured byte counts are an honest communication metric rather than an
-  artefact of a serialiser;
+* **compact** — struct-packed binary (a Euclidean position update is 26
+  bytes on the wire), no pickle anywhere, so the measured byte counts are
+  an honest communication metric rather than an artefact of a serialiser;
 * **predictable** — :func:`wire_size` computes a message's encoded size
-  arithmetically, without encoding it; ``len(encode(m)) ==
-  wire_size(m)`` holds exactly for every message, which is what lets the
-  PR5 benchmark reconcile measured bytes against codec-predicted bytes;
+  arithmetically, without encoding it; ``len(encode(m)) == wire_size(m)``
+  holds exactly for every message, which is what lets the benchmarks
+  reconcile measured bytes against codec-predicted bytes;
 * **robust** — frames are length-prefixed, so a reader survives partial
   and concatenated reads (:class:`FrameReader`), and every malformed input
   raises :class:`~repro.errors.TransportError` instead of a bare
   ``struct.error``.
 
 Frame layout: a 4-byte big-endian unsigned body length, then the body —
-one type byte followed by type-specific fields.  Positions and batch
-targets are tagged unions (a :class:`~repro.geometry.point.Point` is two
-doubles, a :class:`~repro.roadnet.location.NetworkLocation` is an edge id
-plus an offset, a road vertex is one unsigned int), which keeps the codec
-metric-agnostic like the protocol it serialises.
+one type byte followed by the frame's fields.
 
-Beyond the three data-plane messages, the codec speaks the control frames
-of one serving connection: open/close a session, refresh, batch
-acknowledgement, typed errors (re-raised client-side as their original
-exception class), and the meta frames (stats, aggregate stats, active
-objects) that let a remote client read the server's accounting.  Meta
-frames are diagnostics — the server deliberately does not bill their bytes
-into :class:`~repro.core.stats.CommunicationStats`.
+**One table per frame.**  Each frame type is described once, in
+``_FRAMES``, as an ordered list of ``(attribute names, field kind)``
+entries; ``encode``, ``decode`` and ``wire_size`` are all derived from
+that one description, so a layout cannot change in one of them alone.
+The field kinds:
+
+* struct scalars (``_U8`` … ``_F64``, ``_BOOL``), optionally mapped to and
+  from their wire value (``_QUERY_ID`` sends ``None`` as -1; ``_enum``
+  codes index the append-only ``_ACTIONS``/``_REGION_EVENTS`` tables);
+* ``_STR``, a u16-prefixed UTF-8 string;
+* ``_POSITION`` and ``_TARGET``, tagged unions: a
+  :class:`~repro.geometry.point.Point` is two doubles, a
+  :class:`~repro.roadnet.location.NetworkLocation` an edge id plus an
+  offset, a road vertex one unsigned int — which keeps the codec
+  metric-agnostic like the protocol it serialises;
+* ``_Seq``, a count (u32 unless given) then the items, scalars or
+  ``_Record`` sub-records (``as_set`` ships a frozenset, sorted);
+  ``_Seqs`` writes several counts before all the items (with ``shared``,
+  one count for parallel arrays);
+* ``_Optional``, a presence byte then the value; ``_Flags``, booleans in
+  one bit-flags byte; ``_Stats``, a stats dataclass by its field lists.
+
+Each table is compiled once at import: into one generated ``encode``
+function per frame, and into ``decode`` and ``wire_size`` closures.
+Consecutive scalars share one precompiled :class:`struct.Struct`, and a
+counted array of scalars or of scalar records is packed and unpacked in
+one call; on decode its count is first checked against the bytes that
+remain.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Type
+from itertools import starmap
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import (
-    ConfigurationError,
-    ConnectionLost,
-    EmptyDatasetError,
-    GeometryError,
-    QueryError,
-    ReproError,
-    RequestTimeout,
-    RoadNetworkError,
-    TransportError,
-)
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
-from repro.obs.metrics import Histogram, histogram as _obs_histogram, start_timer
-from repro.obs.clock import clock as _obs_clock
+from repro.errors import TransportError
 from repro.geometry.point import Point
+from repro.obs.clock import clock as _obs_clock
+from repro.obs.metrics import Histogram, histogram as _obs_histogram, start_timer
 from repro.queries.influential import InfluentialResult
 from repro.queries.messages import InfluentialResponse, OpenQuery, RegionEvent
 from repro.queries.region import RegionResult
 from repro.roadnet.location import NetworkLocation
 from repro.service.messages import KNNResponse, PositionUpdate, UpdateBatch
+from repro.transport.messages import (
+    AggregateStatsRequest,
+    AggregateStatsResponse,
+    BatchApplied,
+    CloseSession,
+    DeltaAck,
+    DrainAck,
+    DrainRequest,
+    ErrorMessage,
+    IndexDelta,
+    MetricsRequest,
+    MetricsSnapshot,
+    ObjectsRequest,
+    ObjectsResponse,
+    OpenSession,
+    RefreshRequest,
+    SessionClosed,
+    SessionOpened,
+    StatsRequest,
+    StatsResponse,
+)
 
 __all__ = [
     "AggregateStatsRequest",
@@ -99,38 +130,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct("!I")
 LENGTH_PREFIX_BYTES = _LENGTH.size
 
-# Frame type bytes (one per message class).
-_T_POSITION_UPDATE = 0x01
-_T_KNN_RESPONSE = 0x02
-_T_UPDATE_BATCH = 0x03
-_T_OPEN_SESSION = 0x04
-_T_SESSION_OPENED = 0x05
-_T_CLOSE_SESSION = 0x06
-_T_SESSION_CLOSED = 0x07
-_T_REFRESH = 0x08
-_T_BATCH_APPLIED = 0x09
-_T_ERROR = 0x0A
-_T_STATS_REQUEST = 0x0B
-_T_STATS_RESPONSE = 0x0C
-_T_OBJECTS_REQUEST = 0x0D
-_T_OBJECTS_RESPONSE = 0x0E
-_T_AGG_STATS_REQUEST = 0x0F
-_T_AGG_STATS_RESPONSE = 0x10
-_T_DRAIN_REQUEST = 0x11
-_T_DRAIN_ACK = 0x12
-_T_INDEX_DELTA = 0x13
-_T_DELTA_ACK = 0x14
-_T_OPEN_QUERY = 0x15
-_T_INFLUENTIAL_RESPONSE = 0x16
-_T_REGION_EVENT = 0x17
-_T_METRICS_REQUEST = 0x18
-_T_METRICS_SNAPSHOT = 0x19
-
-# Tagged position / batch-target kinds.
-_POS_POINT = 0x00
-_POS_ROAD = 0x01
-_TARGET_POINT = 0x00
-_TARGET_VERTEX = 0x01
+#: Fixed per-frame overhead: the length prefix plus the type byte.
+_OVERHEAD = LENGTH_PREFIX_BYTES + 1
 
 #: Wire order of :class:`UpdateAction` values (append-only by contract).
 _ACTIONS = (
@@ -139,564 +140,522 @@ _ACTIONS = (
     UpdateAction.INCREMENTAL,
     UpdateAction.FULL_RECOMPUTE,
 )
-_ACTION_CODE = {action: code for code, action in enumerate(_ACTIONS)}
 
 #: Wire order of the region-monitor event names (append-only by contract).
 _REGION_EVENTS = ("stay", "enter")
-_REGION_EVENT_CODE = {event: code for code, event in enumerate(_REGION_EVENTS)}
-
-#: Wire names of the error classes a server may relay (client re-raises).
-_ERROR_KINDS: Dict[str, Type[ReproError]] = {
-    "query": QueryError,
-    "configuration": ConfigurationError,
-    "geometry": GeometryError,
-    "road": RoadNetworkError,
-    "empty": EmptyDatasetError,
-    # Subclasses precede their base in this dict: _KIND_OF_ERROR inverts
-    # it, and ErrorMessage.from_exception walks the MRO to the nearest
-    # registered class, so a ConnectionLost raised server-side re-raises
-    # client-side as ConnectionLost, not a bare TransportError.
-    "connection-lost": ConnectionLost,
-    "timeout": RequestTimeout,
-    "transport": TransportError,
-    "error": ReproError,
-}
-_KIND_OF_ERROR = {cls: kind for kind, cls in _ERROR_KINDS.items()}
 
 
 # ----------------------------------------------------------------------
-# Control messages (the data-plane trio lives in repro.service.messages)
+# Field kinds
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class OpenSession:
-    """Client → server: register a moving query and open its session.
+# A kind covers ``arity`` message attributes (one, unless it packs several
+# into one wire field).  Encoding is generated code (see ``_compile_put``):
+# ``emit(exprs, name, lines)`` returns the Python expression that packs
+# the values ``exprs`` name.  Decoding and sizing are closures:
+# ``take(data, offset) -> (value, offset)`` and ``nbytes(value)``.
+# ``size`` is a kind's byte count when fixed (else None) and ``min_size``
+# the fewest bytes one value takes, which bounds the items a count may
+# claim; ``sized_by``, where set, is the one value of several its size
+# follows.  Scalars only carry a struct code and value mappings: each run
+# of them becomes one struct.
 
-    Attributes:
-        position: the query's starting position (Point or NetworkLocation).
-        k: number of nearest neighbours to maintain.
-        rho: prefetch ratio ρ.
-        options: extra keyword options passed to the engine's
-            ``register_query`` (e.g. the road side's ``validation_mode``),
-            as ``(name, value)`` string pairs.
-    """
 
-    position: Any
-    k: int
-    rho: float
-    options: Tuple[Tuple[str, str], ...] = field(default=())
+def _truncated() -> TransportError:
+    return TransportError("truncated frame body")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "options", tuple((str(k), str(v)) for k, v in self.options)
-        )
 
+class _Scalar:
+    """One struct-coded field, optionally mapped to and from its wire value."""
 
-@dataclass(frozen=True)
-class SessionOpened:
-    """Server → client: the session is open under ``query_id``."""
+    arity = 1
 
-    query_id: int
+    def __init__(self, code: str, to_wire=None, from_wire=None):
+        self.code = code
+        self.size = self.min_size = struct.calcsize("!" + code)
+        self.to_wire, self.from_wire = to_wire, from_wire
+        # Unmapped scalars pack a whole counted array in one call.
+        self.packed = None if to_wire or from_wire else code
 
 
-@dataclass(frozen=True)
-class CloseSession:
-    """Client → server: unregister ``query_id`` (the goodbye message)."""
+_U8, _U16, _U32, _U64 = _Scalar("B"), _Scalar("H"), _Scalar("I"), _Scalar("Q")
+_I32, _F64, _BOOL = _Scalar("i"), _Scalar("d"), _Scalar("?")
+#: A session id; ``None`` (not registered yet) travels as -1.
+_QUERY_ID = _Scalar(
+    "i", lambda qid: -1 if qid is None else qid, lambda qid: None if qid < 0 else qid
+)
 
-    query_id: int
 
+def _enum(table: Tuple[Any, ...], label: str) -> _Scalar:
+    """A one-byte index into the append-only ``table``."""
+    codes = {value: code for code, value in enumerate(table)}
 
-@dataclass(frozen=True)
-class SessionClosed:
-    """Server → client: acknowledgement of :class:`CloseSession`."""
+    def to_wire(value):
+        code = codes.get(value)
+        if code is None:
+            raise TransportError(f"unknown {label} {value!r}")
+        return code
 
-    query_id: int
+    def from_wire(code):
+        if code >= len(table):
+            raise TransportError(f"unknown {label} code 0x{code:02x}")
+        return table[code]
 
+    return _Scalar("B", to_wire, from_wire)
 
-@dataclass(frozen=True)
-class RefreshRequest:
-    """Client → server: re-answer ``query_id`` at its current position."""
 
-    query_id: int
+class _Str:
+    """A u16 byte count, then that many bytes of UTF-8."""
 
+    arity, size, min_size = 1, None, 2
+    _LEN = struct.Struct("!H")
 
-@dataclass(frozen=True)
-class BatchApplied:
-    """Server → client: one :class:`UpdateBatch` was applied as an epoch.
+    def emit(self, exprs: List[str], name, lines: List[str]) -> str:
+        data = _local(lines, f"{exprs[0]}.encode('utf-8')")
+        return f"{name(self._LEN.pack)}(len({data})) + {data}"
 
-    Attributes:
-        epoch: the server's data epoch after the batch.
-        new_indexes: object indexes assigned to the batch's inserts (on the
-            Euclidean side this includes the reinsert half of each move, in
-            ``inserts`` then ``moves`` order — the native decomposition).
-        deleted_indexes: object indexes actually removed.
-    """
-
-    epoch: int
-    new_indexes: Tuple[int, ...] = field(default=())
-    deleted_indexes: Tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "new_indexes", tuple(self.new_indexes))
-        object.__setattr__(self, "deleted_indexes", tuple(self.deleted_indexes))
-
-
-@dataclass(frozen=True)
-class ErrorMessage:
-    """Server → client: a request failed with a typed library error."""
-
-    kind: str
-    message: str
-
-    @classmethod
-    def from_exception(cls, error: ReproError) -> "ErrorMessage":
-        """Wrap a library exception for the wire (closest registered kind)."""
-        for klass in type(error).__mro__:
-            kind = _KIND_OF_ERROR.get(klass)
-            if kind is not None:
-                return cls(kind=kind, message=str(error))
-        return cls(kind="error", message=str(error))
-
-    def to_exception(self) -> ReproError:
-        """The client-side exception this frame re-raises as."""
-        return _ERROR_KINDS.get(self.kind, ReproError)(self.message)
-
-
-@dataclass(frozen=True)
-class StatsRequest:
-    """Client → server: read the communication counters (meta, unbilled)."""
-
-    per_session: bool = False
-
-
-@dataclass(frozen=True)
-class StatsResponse:
-    """Server → client: aggregate (and optionally per-session) counters."""
-
-    aggregate: CommunicationStats
-    per_session: Tuple[Tuple[int, CommunicationStats], ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "per_session", tuple((int(q), s) for q, s in self.per_session)
-        )
-
-
-@dataclass(frozen=True)
-class ObjectsRequest:
-    """Client → server: read the active object indexes (meta, unbilled)."""
-
-
-@dataclass(frozen=True)
-class ObjectsResponse:
-    """Server → client: active object indexes, in the index's native order.
-
-    The order matters: churn drivers sample victims from this list with a
-    seeded RNG, so preserving the server-side order is what makes remote
-    runs realise bit-identical update streams.
-    """
-
-    epoch: int
-    indexes: Tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "indexes", tuple(self.indexes))
-
-
-@dataclass(frozen=True)
-class DrainRequest:
-    """Operator → server: stop serving gracefully and park the sessions.
-
-    The receiving side finishes the exchange in flight, checkpoints its
-    durable state (when it has any), leaves every open session claimable —
-    in the shard WAL for a process worker, in the orphan pool for a socket
-    server — and answers with a :class:`DrainAck` before going quiet.
-    """
-
-
-@dataclass(frozen=True)
-class DrainAck:
-    """Server → operator: drained; state is parked and claimable.
-
-    Attributes:
-        wal_seq: the last WAL sequence number covered by the drain's
-            checkpoint (0 for a non-durable service — nothing logged, the
-            sessions only survive in the orphan pool).
-        session_ids: the query ids parked by the drain, ready for a
-            replacement worker or a reconnecting client to claim.
-    """
-
-    wal_seq: int
-    session_ids: Tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "session_ids", tuple(self.session_ids))
-
-
-@dataclass(frozen=True)
-class AggregateStatsRequest:
-    """Client → server: read the summed ProcessorStats (meta, unbilled)."""
-
-
-@dataclass(frozen=True)
-class AggregateStatsResponse:
-    """Server → client: the engine's aggregate client-side cost counters."""
-
-    stats: ProcessorStats
-
-
-@dataclass(frozen=True)
-class IndexDelta:
-    """Leader → replicas: the repair delta of one update epoch (meta).
-
-    Shipped by the maintenance leader (shard 0) right after it applies an
-    :class:`~repro.service.messages.UpdateBatch`, so read replicas can
-    patch their index to the identical post-epoch state through
-    ``apply_remote_delta()`` without re-running any geometry.  Like every
-    meta frame its bytes are not billed into
-    :class:`~repro.core.stats.CommunicationStats` — the replication
-    fan-out is serving infrastructure, not client/server traffic; a
-    replica's message/object counters are instead driven by the shipped
-    ``payload``/``changed``/``deleted_indexes`` fields, which reproduce
-    exactly what applying the batch locally would have billed.
-
-    Attributes:
-        epoch: the leader's data epoch *after* the batch (unchanged when
-            the batch was a no-op — replicas then apply nothing).
-        payload: the update-record count the epoch billed as uplink
-            objects (deduplicated; move halves included on the Euclidean
-            side).
-        full: the leader rebuilt from scratch — the metric sections carry
-            the complete post-epoch state and replicas replace wholesale.
-        bulk: the Euclidean structural path ran in bulk order (deletes
-            before inserts); replicas must replay the R-tree operations in
-            the same order for the trees to stay identical.
-        new_indexes: object indexes assigned to the epoch's inserts.
-        deleted_indexes: object indexes actually removed.
-        changed: the epoch's invalidation delta (sorted object indexes).
-        points: positions of ``new_indexes``, in order (Euclidean).
-        neighbors: final ``(object, sorted neighbour list)`` entries for
-            every object whose neighbour set the epoch touched.
-        removed_neighbors: objects whose neighbour entry was dropped.
-        assignments: road ``(object, vertex)`` placements (inserts and
-            moves).
-        groups: road ``(vertex, co-located object list)`` entries.
-        removed_groups: vertices whose object group emptied.
-        vertices: road ``(vertex, owner, distance)`` re-settlements.
-        removed_vertices: road vertices left unowned.
-        edges: road ``(edge_id, owner_u, owner_v, border_offset)`` edge
-            ownership records (``border_offset`` None when one object owns
-            the whole edge).
-        removed_edges: road edges whose ownership was dropped.
-        labels: road per-representative cell state — ``(rep, owned
-            vertices, owned edges, adjacent representatives)``.
-        removed_labels: representatives whose cell disappeared.
-    """
-
-    epoch: int
-    payload: int
-    full: bool = False
-    bulk: bool = False
-    new_indexes: Tuple[int, ...] = field(default=())
-    deleted_indexes: Tuple[int, ...] = field(default=())
-    changed: Tuple[int, ...] = field(default=())
-    points: Tuple[Point, ...] = field(default=())
-    neighbors: Tuple[Tuple[int, Tuple[int, ...]], ...] = field(default=())
-    removed_neighbors: Tuple[int, ...] = field(default=())
-    assignments: Tuple[Tuple[int, int], ...] = field(default=())
-    groups: Tuple[Tuple[int, Tuple[int, ...]], ...] = field(default=())
-    removed_groups: Tuple[int, ...] = field(default=())
-    vertices: Tuple[Tuple[int, int, float], ...] = field(default=())
-    removed_vertices: Tuple[int, ...] = field(default=())
-    edges: Tuple[Tuple[int, int, int, Optional[float]], ...] = field(default=())
-    removed_edges: Tuple[int, ...] = field(default=())
-    labels: Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], ...] = field(
-        default=()
-    )
-    removed_labels: Tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        normalize = object.__setattr__
-        normalize(self, "new_indexes", tuple(self.new_indexes))
-        normalize(self, "deleted_indexes", tuple(self.deleted_indexes))
-        normalize(self, "changed", tuple(self.changed))
-        normalize(self, "points", tuple(self.points))
-        normalize(
-            self,
-            "neighbors",
-            tuple((int(obj), tuple(members)) for obj, members in self.neighbors),
-        )
-        normalize(self, "removed_neighbors", tuple(self.removed_neighbors))
-        normalize(
-            self,
-            "assignments",
-            tuple((int(obj), int(vertex)) for obj, vertex in self.assignments),
-        )
-        normalize(
-            self,
-            "groups",
-            tuple((int(vertex), tuple(members)) for vertex, members in self.groups),
-        )
-        normalize(self, "removed_groups", tuple(self.removed_groups))
-        normalize(
-            self,
-            "vertices",
-            tuple(
-                (int(vertex), int(owner), float(distance))
-                for vertex, owner, distance in self.vertices
-            ),
-        )
-        normalize(self, "removed_vertices", tuple(self.removed_vertices))
-        normalize(
-            self,
-            "edges",
-            tuple(
-                (int(e), int(u), int(v), None if border is None else float(border))
-                for e, u, v, border in self.edges
-            ),
-        )
-        normalize(self, "removed_edges", tuple(self.removed_edges))
-        normalize(
-            self,
-            "labels",
-            tuple(
-                (int(rep), tuple(verts), tuple(edge_ids), tuple(adjacent))
-                for rep, verts, edge_ids, adjacent in self.labels
-            ),
-        )
-        normalize(self, "removed_labels", tuple(self.removed_labels))
-
-
-@dataclass(frozen=True)
-class DeltaAck:
-    """Replica → leader side: an :class:`IndexDelta` was applied (meta).
-
-    Attributes:
-        epoch: the replica's data epoch after applying the delta — the
-            dispatcher cross-checks it against the leader's.
-    """
-
-    epoch: int
-
-
-@dataclass(frozen=True)
-class MetricsRequest:
-    """Client → server: send me your metrics registry snapshot (meta).
-
-    Read-only and idempotent: answered from a snapshot read, it never
-    touches a session, an epoch or a counter — a scrape mid-run cannot
-    perturb the protocol it observes.
-    """
-
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """Server → client: one observability registry readout (meta).
-
-    The wire form of :class:`~repro.obs.metrics.RegistrySnapshot` (same
-    field shapes, so :func:`~repro.obs.metrics.render_prometheus` and
-    :func:`~repro.obs.metrics.merge_snapshots` accept either).  Labels
-    travel in the canonical ``k=v,k2=v2`` form; histogram bucket counts
-    are positional over the shared fixed bounds
-    (:data:`~repro.obs.metrics.HISTOGRAM_BOUNDS`), which is what lets a
-    dispatcher merge per-shard snapshots exactly.
-
-    Attributes:
-        counters: ``(name, labels, value)`` triples.
-        gauges: ``(name, labels, value)`` triples.
-        histograms: ``(name, labels, bucket_counts, sum)`` tuples.
-    """
-
-    counters: Tuple[Tuple[str, str, int], ...] = ()
-    gauges: Tuple[Tuple[str, str, float], ...] = ()
-    histograms: Tuple[Tuple[str, str, Tuple[int, ...], float], ...] = ()
-
-    def __post_init__(self):
-        normalize = object.__setattr__
-        normalize(
-            self,
-            "counters",
-            tuple((str(n), str(l), int(v)) for n, l, v in self.counters),
-        )
-        normalize(
-            self,
-            "gauges",
-            tuple((str(n), str(l), float(v)) for n, l, v in self.gauges),
-        )
-        normalize(
-            self,
-            "histograms",
-            tuple(
-                (str(n), str(l), tuple(int(c) for c in counts), float(total))
-                for n, l, counts, total in self.histograms
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
-# Primitive writers / readers
-# ----------------------------------------------------------------------
-_U8 = struct.Struct("!B")
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-_I32 = struct.Struct("!i")
-_F64 = struct.Struct("!d")
-_POINT = struct.Struct("!dd")
-_ROAD = struct.Struct("!Id")
-
-
-class _Writer:
-    """Accumulates struct-packed fields into one frame body."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, frame_type: int):
-        self.parts: List[bytes] = [_U8.pack(frame_type)]
-
-    def u8(self, value: int) -> None:
-        self.parts.append(_U8.pack(value))
-
-    def u16(self, value: int) -> None:
-        self.parts.append(_U16.pack(value))
-
-    def u32(self, value: int) -> None:
-        self.parts.append(_U32.pack(value))
-
-    def u64(self, value: int) -> None:
-        self.parts.append(_U64.pack(value))
-
-    def i32(self, value: int) -> None:
-        self.parts.append(_I32.pack(value))
-
-    def f64(self, value: float) -> None:
-        self.parts.append(_F64.pack(value))
-
-    def string(self, value: str) -> None:
-        data = value.encode("utf-8")
-        self.u16(len(data))
-        self.parts.append(data)
-
-    def position(self, position: Any) -> None:
-        if isinstance(position, Point):
-            self.u8(_POS_POINT)
-            self.parts.append(_POINT.pack(position.x, position.y))
-        elif isinstance(position, NetworkLocation):
-            self.u8(_POS_ROAD)
-            self.parts.append(_ROAD.pack(position.edge_id, position.offset))
-        else:
-            raise TransportError(
-                f"cannot encode position of type {type(position).__name__}"
-            )
-
-    def target(self, target: Any) -> None:
-        """A batch target: a Point (Euclidean) or a vertex id (road)."""
-        if isinstance(target, Point):
-            self.u8(_TARGET_POINT)
-            self.parts.append(_POINT.pack(target.x, target.y))
-        elif isinstance(target, int):
-            self.u8(_TARGET_VERTEX)
-            self.u32(target)
-        else:
-            raise TransportError(
-                f"cannot encode batch target of type {type(target).__name__}"
-            )
-
-    def frame(self) -> bytes:
-        body = b"".join(self.parts)
-        return _LENGTH.pack(len(body)) + body
-
-
-class _Reader:
-    """Consumes struct-packed fields from one frame body."""
-
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def _unpack(self, spec: struct.Struct):
-        end = self.offset + spec.size
-        if end > len(self.data):
-            raise TransportError("truncated frame body")
-        values = spec.unpack_from(self.data, self.offset)
-        self.offset = end
-        return values
-
-    def u8(self) -> int:
-        return self._unpack(_U8)[0]
-
-    def u16(self) -> int:
-        return self._unpack(_U16)[0]
-
-    def u32(self) -> int:
-        return self._unpack(_U32)[0]
-
-    def u64(self) -> int:
-        return self._unpack(_U64)[0]
-
-    def i32(self) -> int:
-        return self._unpack(_I32)[0]
-
-    def f64(self) -> float:
-        return self._unpack(_F64)[0]
-
-    def string(self) -> str:
-        length = self.u16()
-        end = self.offset + length
-        if end > len(self.data):
-            raise TransportError("truncated frame body")
-        raw = self.data[self.offset : end]
-        self.offset = end
+    def take(self, data: bytes, offset: int):
+        (length,) = self._LEN.unpack_from(data, offset)
+        end = offset + 2 + length
+        if end > len(data):
+            raise _truncated()
         try:
-            return raw.decode("utf-8")
+            return data[offset + 2 : end].decode("utf-8"), end
         except UnicodeDecodeError as error:
             raise TransportError(f"malformed utf-8 string in frame: {error}")
 
-    def position(self) -> Any:
-        tag = self.u8()
-        if tag == _POS_POINT:
-            x, y = self._unpack(_POINT)
-            return Point(x, y)
-        if tag == _POS_ROAD:
-            edge_id, offset = self._unpack(_ROAD)
-            return NetworkLocation(edge_id, offset)
-        raise TransportError(f"unknown position tag 0x{tag:02x}")
+    def nbytes(self, value: str) -> int:
+        return 2 + len(value.encode("utf-8"))
 
-    def target(self) -> Any:
-        tag = self.u8()
-        if tag == _TARGET_POINT:
-            x, y = self._unpack(_POINT)
-            return Point(x, y)
-        if tag == _TARGET_VERTEX:
-            return self.u32()
-        raise TransportError(f"unknown batch target tag 0x{tag:02x}")
 
-    def finish(self) -> None:
-        if self.offset != len(self.data):
-            raise TransportError(
-                f"frame body has {len(self.data) - self.offset} trailing bytes"
+_STR = _Str()
+
+
+class _Union:
+    """A tag byte, then the struct of the variant it names.
+
+    Each variant is ``(tag, class, struct code, attribute names)``; no
+    attribute names means the value itself is the payload.  On decode a
+    record folds the scalars just before a union into it (``prefix``), so
+    the run and the union unpack with one struct per variant.
+    """
+
+    size = None
+
+    def __init__(self, label: str, *variants, prefix: Tuple[_Scalar, ...] = ()):
+        self.label, self.variants = label, variants
+        self.arity = n = len(prefix) + 1
+        self.sized_by = n - 1
+        head = "".join(scalar.code for scalar in prefix)
+        at = struct.calcsize("!" + head)  # the tag's offset
+        self.packers, layouts, self.sizes = {}, {}, {}
+        for tag, cls, code, names in variants:
+            self.packers[cls] = _union_packer(tag, code, names)
+            layouts[tag] = (struct.Struct("!" + head + "B" + code), cls)
+            self.sizes[cls] = layouts[tag][0].size  # prefix included
+        self.min_size = min(self.sizes.values())
+        from_wire = [(i, s.from_wire) for i, s in enumerate(prefix) if s.from_wire]
+
+        def take(data: bytes, offset: int):
+            tag = data[offset + at]
+            if tag not in layouts:
+                raise TransportError(f"unknown {label} tag 0x{tag:02x}")
+            layout, cls = layouts[tag]
+            row = layout.unpack_from(data, offset)
+            value, end = cls(*row[n:]), offset + layout.size
+            if n == 1:
+                return value, end
+            row = list(row[: n - 1])
+            for i, convert in from_wire:
+                row[i] = convert(row[i])
+            row.append(value)
+            return row, end
+
+        self.take = take
+
+    def after(self, prefix: List[_Scalar]) -> "_Union":
+        return _Union(self.label, *self.variants, prefix=tuple(prefix))
+
+    def _match(self, value: Any, op: str):
+        """The packer (or size) of a subclass instance (exact classes hit a dict)."""
+        table = self.packers if op == "encode" else self.sizes
+        for cls in table:
+            if isinstance(value, cls):
+                return table[cls]
+        kind = type(value).__name__
+        raise TransportError(f"cannot {op} {self.label} of type {kind}")
+
+    def emit(self, exprs: List[str], name, lines: List[str]) -> str:
+        value = _local(lines, exprs[0])
+        packer = f"{name(self.packers)}.get({value}.__class__)"
+        return f"({packer} or {name(self._match)}({value}, 'encode'))({value})"
+
+    def nbytes(self, value: Any) -> int:
+        return self.sizes.get(value.__class__) or self._match(value, "size")
+
+
+def _union_packer(tag: int, code: str, names: Tuple[str, ...]):
+    """Pack one variant: its tag byte, then its fields (or the value itself)."""
+    tag_byte, pack = bytes((tag,)), struct.Struct("!" + code).pack
+    if not names:
+        return lambda value: tag_byte + pack(value)
+    fields = attrgetter(*names)
+    return lambda value: tag_byte + pack(*fields(value))
+
+
+_POSITION = _Union(
+    "position",
+    (0x00, Point, "dd", ("x", "y")),
+    (0x01, NetworkLocation, "Id", ("edge_id", "offset")),
+)
+#: A batch target: a Point (Euclidean) or a vertex id (road).
+_TARGET = _Union("batch target", (0x00, Point, "dd", ("x", "y")), (0x01, int, "I", ()))
+
+
+class _Optional:
+    """A presence byte, then the scalar when present (``None`` when not)."""
+
+    arity, size, min_size = 1, None, 1
+
+    def __init__(self, scalar: _Scalar):
+        self.layout = struct.Struct("!B" + scalar.code)
+
+    def emit(self, exprs: List[str], name, lines: List[str]) -> str:
+        value = _local(lines, exprs[0])
+        return f"(b'\\x00' if {value} is None else {name(self.layout.pack)}(1, {value}))"
+
+    def take(self, data: bytes, offset: int):
+        if not data[offset]:
+            return None, offset + 1
+        return self.layout.unpack_from(data, offset)[1], offset + self.layout.size
+
+    def nbytes(self, value: Any) -> int:
+        return 1 if value is None else self.layout.size
+
+
+class _Flags:
+    """Several booleans in one byte: bit ``i`` is the ``i``-th attribute."""
+
+    size = min_size = 1
+
+    def __init__(self, arity: int):
+        self.arity = arity
+
+    def emit(self, exprs: List[str], name, lines: List[str]) -> str:
+        bits = [f"({1 << bit} if {expr} else 0)" for bit, expr in enumerate(exprs)]
+        return f"bytes(({' | '.join(bits)},))"
+
+    def take(self, data: bytes, offset: int):
+        bits = data[offset]
+        return tuple(bool(bits >> bit & 1) for bit in range(self.arity)), offset + 1
+
+
+class _Stats:
+    """A stats dataclass as fixed fields: ``(field names, struct code)`` groups."""
+
+    arity = 1
+
+    def __init__(self, cls: type, *groups):
+        self.cls = cls
+        self.names = tuple(name for names, _ in groups for name in names)
+        self.fields = attrgetter(*self.names)
+        self.layout = struct.Struct("!" + "".join(c * len(n) for n, c in groups))
+        self.size = self.min_size = self.layout.size
+
+    def emit(self, exprs: List[str], name, lines: List[str]) -> str:
+        return f"{name(self.layout.pack)}(*{name(self.fields)}({exprs[0]}))"
+
+    def take(self, data: bytes, offset: int):
+        values = self.layout.unpack_from(data, offset)
+        return self.cls(**dict(zip(self.names, values))), offset + self.size
+
+
+class _Record:
+    """An ordered list of kinds: a sequence item, or a whole frame's fields.
+
+    ``put`` is generated (items read their values by position).  Decoding
+    yields the values as one flat tuple; each run of consecutive scalars
+    becomes one precompiled struct.  Sizing reads each kind's value(s)
+    with ``getter(*keys)`` — item positions by default, attribute names
+    for a frame — and counts ``base`` bytes (a frame's length prefix and
+    type byte) in every size.
+    """
+
+    arity = 1
+
+    def __init__(self, *kinds, keys=None, getter=itemgetter, base: int = 0):
+        if keys is None:  # a sequence item: its values by position
+            keys = list(range(sum(kind.arity for kind in kinds)))
+            values = iter(f"value[{key}]" for key in keys)
+            fields = [([next(values) for _ in range(k.arity)], k) for k in kinds]
+            self.put = _compile_put(fields, "value")
+        takes, sizers = [], []
+        fixed, minimum = base, 0
+        run: List[_Scalar] = []
+        for kind in kinds + (None,):
+            if isinstance(kind, _Scalar):
+                run.append(kind)
+                continue
+            if isinstance(kind, _Union) and run:
+                kind, run = kind.after(run), []
+            if run:
+                takes.append(_run_take(run))
+                fixed += sum(scalar.size for scalar in run)
+                keys, run = keys[len(run) :], []
+            if kind is None:
+                break
+            at = getattr(kind, "sized_by", None)
+            sized = getter(*keys[: kind.arity]) if at is None else getter(keys[at])
+            keys = keys[kind.arity :]
+            takes.append(_take_step(kind.take, kind.arity))
+            if kind.size is None:
+                sizers.append((sized, kind.nbytes))
+                minimum += kind.min_size
+            else:
+                fixed += kind.size
+        self.size = None if sizers else fixed
+        self.min_size = fixed + minimum
+        plain = all(isinstance(kind, _Scalar) and kind.packed for kind in kinds)
+        self.packed = "".join(kind.code for kind in kinds) if plain else None
+
+        def take(data: bytes, offset: int):
+            values: List[Any] = []
+            for step in takes:
+                offset = step(data, offset, values)
+            return tuple(values), offset
+
+        def nbytes(value) -> int:
+            total = fixed
+            for get, size in sizers:
+                total += size(get(value))
+            return total
+
+        if len(sizers) == 1:
+            (sized, size), = sizers
+            nbytes = lambda value: fixed + size(sized(value))  # noqa: E731
+        elif len(sizers) == 2:
+            (sized, size), (sized2, size2) = sizers
+
+            def nbytes(value) -> int:
+                return fixed + size(sized(value)) + size2(sized2(value))
+
+        self.take, self.nbytes = take, nbytes
+
+
+def _run_take(scalars: List[_Scalar]):
+    """The take step of a run of scalars: one unpack, then any mappings."""
+    layout = struct.Struct("!" + "".join(scalar.code for scalar in scalars))
+    unpack_from, size = layout.unpack_from, layout.size
+    from_wire = [(i, s.from_wire) for i, s in enumerate(scalars) if s.from_wire]
+
+    def take(data: bytes, offset: int, out: List[Any]) -> int:
+        row = unpack_from(data, offset)
+        if from_wire:
+            row = list(row)
+            for i, convert in from_wire:
+                row[i] = convert(row[i])
+        out.extend(row)
+        return offset + size
+
+    return take
+
+
+def _take_step(take, arity: int):
+    def step(data: bytes, offset: int, out: List[Any]) -> int:
+        value, offset = take(data, offset)
+        if arity == 1:
+            out.append(value)
+        else:
+            out.extend(value)
+        return offset
+
+    return step
+
+
+@functools.lru_cache(maxsize=512)
+def _array(code: str, count: int) -> struct.Struct:
+    """The struct of ``count`` consecutive ``code`` items.
+
+    Cached here rather than left to :func:`struct.pack`'s own format
+    cache, which is cleared whole once it holds 100 formats.
+    """
+    return struct.Struct(f"!{count}{code}")
+
+
+class _Seq:
+    """A count, then that many items (a tuple on decode).
+
+    Items that are plain scalars, or records of plain scalars, are packed
+    and unpacked in one struct call; any other item goes one at a time.
+    ``as_set`` ships a frozenset of scalars, sorted.
+    """
+
+    arity, size = 1, None
+
+    def __init__(self, item, count: _Scalar = _U32, as_set: bool = False):
+        self.count = struct.Struct("!" + count.code)
+        self.min_size = head = self.count.size
+        self.item, self.item_min, self.as_set = item, item.min_size, as_set
+        item_size = item.size
+        if isinstance(item, _Scalar):
+            code = item.packed
+
+            def take_items(data: bytes, offset: int, count: int):
+                values = _array(code, count).unpack_from(data, offset)
+                end = offset + count * item_size
+                return (frozenset(values) if as_set else values), end
+
+        elif getattr(item, "packed", None):
+            records = struct.Struct("!" + item.packed)
+
+            def take_items(data: bytes, offset: int, count: int):
+                end = offset + count * item_size
+                return tuple(records.iter_unpack(data[offset:end])), end
+
+        else:
+            take = item.take
+            self.item_put = item.put if isinstance(item, _Record) else _compile_put(
+                [(["value"], item)], "value"
             )
 
+            def take_items(data: bytes, offset: int, count: int):
+                values = []
+                for _ in range(count):
+                    value, offset = take(data, offset)
+                    values.append(value)
+                return tuple(values), offset
 
-def _position_size(position: Any) -> int:
-    if isinstance(position, Point):
-        return 1 + _POINT.size
-    if isinstance(position, NetworkLocation):
-        return 1 + _ROAD.size
-    raise TransportError(f"cannot size position of type {type(position).__name__}")
+        if item_size is None:
+            self.items_nbytes = lambda values: sum(map(item.nbytes, values))
+            self.nbytes = lambda values: head + sum(map(item.nbytes, values))
+        else:
+            self.items_nbytes = lambda values: item_size * len(values)
+            self.nbytes = lambda values: head + item_size * len(values)
+        self.take_items = take_items
+
+    def take(self, data: bytes, offset: int):
+        (count,) = self.count.unpack_from(data, offset)
+        offset += self.count.size
+        if count * self.item_min > len(data) - offset:
+            raise _truncated()
+        return self.take_items(data, offset, count)
+
+    def emit_items(self, values: str, name) -> str:
+        """The expression packing the items of the sequence ``values``."""
+        if isinstance(self.item, _Scalar):
+            array = f"{name(_array)}({self.item.packed!r}, len({values}))"
+            return f"{array}.pack(*{values})"
+        if getattr(self.item, "packed", None):
+            pack = name(struct.Struct("!" + self.item.packed).pack)
+            return f"b''.join({name(starmap)}({pack}, {values}))"
+        return f"b''.join(map({name(self.item_put)}, {values}))"
+
+    def emit(self, exprs: List[str], name, lines: List[str]) -> str:
+        values = _local(lines, f"sorted({exprs[0]})" if self.as_set else exprs[0])
+        return f"{name(self.count.pack)}(len({values})) + {self.emit_items(values, name)}"
 
 
-def _target_size(target: Any) -> int:
-    if isinstance(target, Point):
-        return 1 + _POINT.size
-    if isinstance(target, int):
-        return 1 + _U32.size
-    raise TransportError(f"cannot size batch target of type {type(target).__name__}")
+class _Seqs:
+    """Several u32-counted sequences whose counts all come first.
+
+    With ``shared``, one count covers every sequence (parallel arrays,
+    which must then have equal lengths).
+    """
+
+    size = None
+
+    def __init__(self, *items, shared: bool = False):
+        self.seqs = [_Seq(item) for item in items]
+        self.arity = len(items)
+        self.shared = shared
+        self.counts = struct.Struct("!" + "I" * (1 if shared else len(items)))
+        self.min_size = self.counts.size
+        if shared and all(item.size is not None for item in items):
+            head, row = self.counts.size, sum(item.size for item in items)
+            self.sized_by = 0
+            self.nbytes = lambda values: head + row * len(values)
+
+    def emit(self, exprs: List[str], name, lines: List[str]) -> str:
+        values = [_local(lines, expr) for expr in exprs]
+        counts = [f"len({value})" for value in values]
+        if self.shared:
+            count = _local(lines, counts[0])
+            error = f"{name(TransportError)}('parallel sequences differ in length')"
+            for other in counts[1:]:
+                lines += [f"if {other} != {count}:", f"    raise {error}"]
+            counts = [count]
+        items = [seq.emit_items(value, name) for seq, value in zip(self.seqs, values)]
+        return " + ".join([f"{name(self.counts.pack)}({', '.join(counts)})", *items])
+
+    def take(self, data: bytes, offset: int):
+        counts = self.counts.unpack_from(data, offset)
+        if self.shared:
+            counts *= self.arity
+        offset += self.counts.size
+        needed = sum(count * seq.item_min for count, seq in zip(counts, self.seqs))
+        if needed > len(data) - offset:
+            raise _truncated()
+        values = []
+        for seq, count in zip(self.seqs, counts):
+            value, offset = seq.take_items(data, offset, count)
+            values.append(value)
+        return tuple(values), offset
+
+    def nbytes(self, values) -> int:
+        return self.counts.size + sum(
+            seq.items_nbytes(value) for seq, value in zip(self.seqs, values)
+        )
 
 
-#: Fixed per-frame overhead: the length prefix plus the type byte.
-_OVERHEAD = LENGTH_PREFIX_BYTES + 1
+def _compile_put(fields, arg: str, header: Optional[bytes] = None):
+    """Generate one flat packing function from ``(exprs, kind)`` pairs.
+
+    ``exprs`` name each kind's values in terms of the argument ``arg``.
+    Every exchange encodes, and a chain of per-field closures measured
+    slower in a serving process than the hand-written encoders this
+    replaced (the serving work between two frames evicts the many small
+    objects such a chain touches); one generated function touches few.
+    Each run of scalars becomes one ``pack`` call.  With a ``header`` the
+    function encodes a whole frame: type byte, fields, length prefix.
+    """
+    namespace: Dict[str, Any] = {"_LENGTH": _LENGTH}
+    lines: List[str] = []
+    parts = [] if header is None else [repr(header)]
+    run: List[Tuple[_Scalar, str]] = []
+
+    def name(obj) -> str:
+        key = f"_g{len(namespace)}"
+        namespace[key] = obj
+        return key
+
+    def flush() -> None:
+        if run:
+            pack = name(struct.Struct("!" + "".join(k.code for k, _ in run)).pack)
+            args = [f"{name(k.to_wire)}({e})" if k.to_wire else e for k, e in run]
+            parts.append(f"{pack}({', '.join(args)})")
+            run.clear()
+
+    for exprs, kind in fields:
+        if isinstance(kind, _Scalar):
+            run.append((kind, exprs[0]))
+            continue
+        flush()
+        parts.append(kind.emit(exprs, name, lines))
+    flush()
+    body = parts[0] if len(parts) == 1 else f"b''.join(({', '.join(parts)},))"
+    if header is None:
+        tail = [f"return {body}"]
+    else:
+        tail = [f"body = {body}", "return _LENGTH.pack(len(body)) + body"]
+    exec("\n    ".join([f"def put({arg}):", *lines, *tail]), namespace)
+    return namespace["put"]
+
+
+def _local(lines: List[str], expr: str) -> str:
+    """Bind ``expr`` to a fresh local of the generated function."""
+    local = f"v{len(lines)}"
+    lines.append(f"{local} = {expr}")
+    return local
+
 
 #: The six CommunicationStats counters shipped per stats record.
 _COMM_FIELDS = (
@@ -730,315 +689,170 @@ _PROC_FLOAT_FIELDS = (
     "delta_apply_seconds",
 )
 
-
-def _write_comm(writer: _Writer, stats: CommunicationStats) -> None:
-    for name in _COMM_FIELDS:
-        writer.u64(getattr(stats, name))
-
-
-def _read_comm(reader: _Reader) -> CommunicationStats:
-    return CommunicationStats(**{name: reader.u64() for name in _COMM_FIELDS})
+_COMM = _Stats(CommunicationStats, (_COMM_FIELDS, "Q"))
+_PROC = _Stats(ProcessorStats, (_PROC_INT_FIELDS, "Q"), (_PROC_FLOAT_FIELDS, "d"))
+_IDS = _Seq(_U32)
 
 
 # ----------------------------------------------------------------------
-# Per-type encoders
+# Frame schemas
 # ----------------------------------------------------------------------
-def _encode_position_update(message: PositionUpdate) -> bytes:
-    writer = _Writer(_T_POSITION_UPDATE)
-    writer.i32(-1 if message.query_id is None else message.query_id)
-    writer.position(message.position)
-    return writer.frame()
+class _Frame:
+    """One frame type: its type byte, message class and field schema.
+
+    ``fields`` are ``(attribute names, kind)`` pairs in wire order; one
+    entry names several space-separated attributes when its kind has that
+    arity.  ``result.*`` attributes live on the message's nested
+    ``result``, rebuilt on decode as an instance of ``result``.
+    """
+
+    def __init__(
+        self, type_byte: int, cls: type, *fields, result: Optional[type] = None
+    ):
+        self.type_byte, self.cls = type_byte, cls
+        names = [name for spec, _ in fields for name in spec.split()]
+        layout = _Record(
+            *(kind for _, kind in fields), keys=names, getter=attrgetter, base=_OVERHEAD
+        )
+        take, build = layout.take, _from_values(cls, names, result)
+
+        def decode(body: bytes):
+            values, offset = take(body, 1)
+            if offset != len(body):
+                trailing = len(body) - offset
+                raise TransportError(f"frame body has {trailing} trailing bytes")
+            return build(values)
+
+        self.encode = _compile_put(
+            [([f"message.{a}" for a in spec.split()], kind) for spec, kind in fields],
+            "message",
+            bytes((type_byte,)),
+        )
+        self.decode, self.wire_size = decode, layout.nbytes
 
 
-def _write_response_body(writer: _Writer, message: KNNResponse) -> None:
-    """The fields every kind's response shares (the KNNResponse layout)."""
-    result = message.result
-    writer.i32(message.query_id)
-    writer.u32(message.objects_shipped)
-    writer.u32(message.round_trips)
-    writer.u32(message.epoch)
-    writer.i32(result.timestamp)
-    writer.u8(_ACTION_CODE[result.action])
-    writer.u8(1 if result.was_valid else 0)
-    writer.u32(len(result.knn))
-    for index in result.knn:
-        writer.u32(index)
-    for distance in result.knn_distances:
-        writer.f64(distance)
-    guards = sorted(result.guard_objects)
-    writer.u32(len(guards))
-    for index in guards:
-        writer.u32(index)
+def _from_values(cls: type, names: List[str], result: Optional[type]):
+    """Turn decoded values (in ``names`` order) back into a ``cls``."""
+    if result is None:
+        # Positional arguments when the wire order is the field order.
+        if names == [f.name for f in dataclasses.fields(cls)][: len(names)]:
+            return lambda values: cls(*values)
+        return lambda values: cls(**dict(zip(names, values)))
+    outer = [(name, i) for i, name in enumerate(names) if "." not in name]
+    inner = [(name[len("result.") :], i) for i, name in enumerate(names) if "." in name]
+
+    def build(values):
+        kwargs = {name: values[i] for name, i in outer}
+        kwargs["result"] = result(**{name: values[i] for name, i in inner})
+        return cls(**kwargs)
+
+    return build
 
 
-def _encode_knn_response(message: KNNResponse) -> bytes:
-    writer = _Writer(_T_KNN_RESPONSE)
-    _write_response_body(writer, message)
-    return writer.frame()
+#: The fields every kind's response shares (the KNNResponse layout).
+_RESPONSE = (
+    ("query_id", _I32),
+    ("objects_shipped", _U32),
+    ("round_trips", _U32),
+    ("epoch", _U32),
+    ("result.timestamp", _I32),
+    ("result.action", _enum(_ACTIONS, "update action")),
+    ("result.was_valid", _BOOL),
+    ("result.knn result.knn_distances", _Seqs(_U32, _F64, shared=True)),
+    ("result.guard_objects", _Seq(_U32, as_set=True)),
+)
+_SESSION = (("k", _U32), ("rho", _F64), ("position", _POSITION))
+_OPTIONS = ("options", _Seq(_Record(_STR, _STR), count=_U8))
+
+_FRAMES = (
+    _Frame(0x01, PositionUpdate, ("query_id", _QUERY_ID), ("position", _POSITION)),
+    _Frame(0x02, KNNResponse, *_RESPONSE, result=QueryResult),
+    _Frame(
+        0x03,
+        UpdateBatch,
+        ("inserts deletes moves", _Seqs(_TARGET, _U32, _Record(_U32, _TARGET))),
+    ),
+    _Frame(0x04, OpenSession, *_SESSION, _OPTIONS),
+    _Frame(0x05, SessionOpened, ("query_id", _I32)),
+    _Frame(0x06, CloseSession, ("query_id", _I32)),
+    _Frame(0x07, SessionClosed, ("query_id", _I32)),
+    _Frame(0x08, RefreshRequest, ("query_id", _I32)),
+    _Frame(
+        0x09,
+        BatchApplied,
+        ("epoch", _U32),
+        ("new_indexes", _IDS),
+        ("deleted_indexes", _IDS),
+    ),
+    _Frame(0x0A, ErrorMessage, ("kind", _STR), ("message", _STR)),
+    _Frame(0x0B, StatsRequest, ("per_session", _BOOL)),
+    _Frame(
+        0x0C,
+        StatsResponse,
+        ("aggregate", _COMM),
+        ("per_session", _Seq(_Record(_I32, _COMM))),
+    ),
+    _Frame(0x0D, ObjectsRequest),
+    _Frame(0x0E, ObjectsResponse, ("epoch", _U32), ("indexes", _IDS)),
+    _Frame(0x0F, AggregateStatsRequest),
+    _Frame(0x10, AggregateStatsResponse, ("stats", _PROC)),
+    _Frame(0x11, DrainRequest),
+    _Frame(0x12, DrainAck, ("wal_seq", _U64), ("session_ids", _Seq(_I32))),
+    _Frame(
+        0x13,
+        IndexDelta,
+        ("epoch", _U32),
+        ("payload", _U32),
+        ("full bulk", _Flags(2)),
+        ("new_indexes", _IDS),
+        ("deleted_indexes", _IDS),
+        ("changed", _IDS),
+        ("points", _Seq(_POSITION)),
+        ("neighbors", _Seq(_Record(_U32, _IDS))),
+        ("removed_neighbors", _IDS),
+        ("assignments", _Seq(_Record(_U32, _U32))),
+        ("groups", _Seq(_Record(_U32, _IDS))),
+        ("removed_groups", _IDS),
+        ("vertices", _Seq(_Record(_U32, _U32, _F64))),
+        ("removed_vertices", _IDS),
+        ("edges", _Seq(_Record(_U32, _U32, _U32, _Optional(_F64)))),
+        ("removed_edges", _IDS),
+        ("labels", _Seq(_Record(_U32, _IDS, _IDS, _IDS))),
+        ("removed_labels", _IDS),
+    ),
+    _Frame(0x14, DeltaAck, ("epoch", _U32)),
+    _Frame(0x15, OpenQuery, ("kind", _STR), *_SESSION, _OPTIONS),
+    _Frame(
+        0x16,
+        InfluentialResponse,
+        *_RESPONSE,
+        ("result.sites", _IDS),
+        result=InfluentialResult,
+    ),
+    _Frame(
+        0x17,
+        RegionEvent,
+        *_RESPONSE,
+        ("result.event", _enum(_REGION_EVENTS, "region event")),
+        ("result.departed", _IDS),
+        result=RegionResult,
+    ),
+    _Frame(0x18, MetricsRequest),
+    _Frame(
+        0x19,
+        MetricsSnapshot,
+        ("counters", _Seq(_Record(_STR, _STR, _U64))),
+        ("gauges", _Seq(_Record(_STR, _STR, _F64))),
+        ("histograms", _Seq(_Record(_STR, _STR, _Seq(_U64, count=_U16), _F64))),
+    ),
+)
+_FRAME_OF_CLASS = {frame.cls: frame for frame in _FRAMES}
+_FRAME_OF_TYPE = {frame.type_byte: frame for frame in _FRAMES}
 
 
-def _encode_influential_response(message: InfluentialResponse) -> bytes:
-    writer = _Writer(_T_INFLUENTIAL_RESPONSE)
-    _write_response_body(writer, message)
-    sites = message.result.sites
-    writer.u32(len(sites))
-    for index in sites:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_region_event(message: RegionEvent) -> bytes:
-    writer = _Writer(_T_REGION_EVENT)
-    _write_response_body(writer, message)
-    result = message.result
-    code = _REGION_EVENT_CODE.get(result.event)
-    if code is None:
-        raise TransportError(f"unknown region event {result.event!r}")
-    writer.u8(code)
-    writer.u32(len(result.departed))
-    for index in result.departed:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_update_batch(message: UpdateBatch) -> bytes:
-    writer = _Writer(_T_UPDATE_BATCH)
-    writer.u32(len(message.inserts))
-    writer.u32(len(message.deletes))
-    writer.u32(len(message.moves))
-    for target in message.inserts:
-        writer.target(target)
-    for index in message.deletes:
-        writer.u32(index)
-    for index, target in message.moves:
-        writer.u32(index)
-        writer.target(target)
-    return writer.frame()
-
-
-def _encode_open_session(message: OpenSession) -> bytes:
-    writer = _Writer(_T_OPEN_SESSION)
-    writer.u32(message.k)
-    writer.f64(message.rho)
-    writer.position(message.position)
-    writer.u8(len(message.options))
-    for name, value in message.options:
-        writer.string(name)
-        writer.string(value)
-    return writer.frame()
-
-
-def _encode_open_query(message: OpenQuery) -> bytes:
-    writer = _Writer(_T_OPEN_QUERY)
-    writer.string(message.kind)
-    writer.u32(message.k)
-    writer.f64(message.rho)
-    writer.position(message.position)
-    writer.u8(len(message.options))
-    for name, value in message.options:
-        writer.string(name)
-        writer.string(value)
-    return writer.frame()
-
-
-def _encode_query_id_only(frame_type: int, query_id: int) -> bytes:
-    writer = _Writer(frame_type)
-    writer.i32(query_id)
-    return writer.frame()
-
-
-def _encode_batch_applied(message: BatchApplied) -> bytes:
-    writer = _Writer(_T_BATCH_APPLIED)
-    writer.u32(message.epoch)
-    writer.u32(len(message.new_indexes))
-    for index in message.new_indexes:
-        writer.u32(index)
-    writer.u32(len(message.deleted_indexes))
-    for index in message.deleted_indexes:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_error(message: ErrorMessage) -> bytes:
-    writer = _Writer(_T_ERROR)
-    writer.string(message.kind)
-    writer.string(message.message)
-    return writer.frame()
-
-
-def _encode_stats_request(message: StatsRequest) -> bytes:
-    writer = _Writer(_T_STATS_REQUEST)
-    writer.u8(1 if message.per_session else 0)
-    return writer.frame()
-
-
-def _encode_stats_response(message: StatsResponse) -> bytes:
-    writer = _Writer(_T_STATS_RESPONSE)
-    _write_comm(writer, message.aggregate)
-    writer.u32(len(message.per_session))
-    for query_id, stats in message.per_session:
-        writer.i32(query_id)
-        _write_comm(writer, stats)
-    return writer.frame()
-
-
-def _encode_objects_request(message: ObjectsRequest) -> bytes:
-    return _Writer(_T_OBJECTS_REQUEST).frame()
-
-
-def _encode_objects_response(message: ObjectsResponse) -> bytes:
-    writer = _Writer(_T_OBJECTS_RESPONSE)
-    writer.u32(message.epoch)
-    writer.u32(len(message.indexes))
-    for index in message.indexes:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_drain_request(message: DrainRequest) -> bytes:
-    return _Writer(_T_DRAIN_REQUEST).frame()
-
-
-def _encode_drain_ack(message: DrainAck) -> bytes:
-    writer = _Writer(_T_DRAIN_ACK)
-    writer.u64(message.wal_seq)
-    writer.u32(len(message.session_ids))
-    for query_id in message.session_ids:
-        writer.i32(query_id)
-    return writer.frame()
-
-
-def _encode_index_delta(message: IndexDelta) -> bytes:
-    writer = _Writer(_T_INDEX_DELTA)
-    writer.u32(message.epoch)
-    writer.u32(message.payload)
-    writer.u8((1 if message.full else 0) | (2 if message.bulk else 0))
-
-    def u32s(values) -> None:
-        writer.u32(len(values))
-        for value in values:
-            writer.u32(value)
-
-    u32s(message.new_indexes)
-    u32s(message.deleted_indexes)
-    u32s(message.changed)
-    writer.u32(len(message.points))
-    for point in message.points:
-        writer.position(point)
-    writer.u32(len(message.neighbors))
-    for obj, members in message.neighbors:
-        writer.u32(obj)
-        u32s(members)
-    u32s(message.removed_neighbors)
-    writer.u32(len(message.assignments))
-    for obj, vertex in message.assignments:
-        writer.u32(obj)
-        writer.u32(vertex)
-    writer.u32(len(message.groups))
-    for vertex, members in message.groups:
-        writer.u32(vertex)
-        u32s(members)
-    u32s(message.removed_groups)
-    writer.u32(len(message.vertices))
-    for vertex, owner, distance in message.vertices:
-        writer.u32(vertex)
-        writer.u32(owner)
-        writer.f64(distance)
-    u32s(message.removed_vertices)
-    writer.u32(len(message.edges))
-    for edge_id, owner_u, owner_v, border in message.edges:
-        writer.u32(edge_id)
-        writer.u32(owner_u)
-        writer.u32(owner_v)
-        writer.u8(0 if border is None else 1)
-        if border is not None:
-            writer.f64(border)
-    u32s(message.removed_edges)
-    writer.u32(len(message.labels))
-    for rep, verts, edge_ids, adjacent in message.labels:
-        writer.u32(rep)
-        u32s(verts)
-        u32s(edge_ids)
-        u32s(adjacent)
-    u32s(message.removed_labels)
-    return writer.frame()
-
-
-def _encode_delta_ack(message: DeltaAck) -> bytes:
-    writer = _Writer(_T_DELTA_ACK)
-    writer.u32(message.epoch)
-    return writer.frame()
-
-
-def _encode_agg_stats_request(message: AggregateStatsRequest) -> bytes:
-    return _Writer(_T_AGG_STATS_REQUEST).frame()
-
-
-def _encode_metrics_request(message: MetricsRequest) -> bytes:
-    return _Writer(_T_METRICS_REQUEST).frame()
-
-
-def _encode_metrics_snapshot(message: MetricsSnapshot) -> bytes:
-    writer = _Writer(_T_METRICS_SNAPSHOT)
-    writer.u32(len(message.counters))
-    for name, labels, value in message.counters:
-        writer.string(name)
-        writer.string(labels)
-        writer.u64(value)
-    writer.u32(len(message.gauges))
-    for name, labels, value in message.gauges:
-        writer.string(name)
-        writer.string(labels)
-        writer.f64(value)
-    writer.u32(len(message.histograms))
-    for name, labels, counts, total in message.histograms:
-        writer.string(name)
-        writer.string(labels)
-        writer.u16(len(counts))
-        for count in counts:
-            writer.u64(count)
-        writer.f64(total)
-    return writer.frame()
-
-
-def _encode_agg_stats_response(message: AggregateStatsResponse) -> bytes:
-    writer = _Writer(_T_AGG_STATS_RESPONSE)
-    for name in _PROC_INT_FIELDS:
-        writer.u64(getattr(message.stats, name))
-    for name in _PROC_FLOAT_FIELDS:
-        writer.f64(getattr(message.stats, name))
-    return writer.frame()
-
-
-_ENCODERS = {
-    PositionUpdate: _encode_position_update,
-    KNNResponse: _encode_knn_response,
-    InfluentialResponse: _encode_influential_response,
-    RegionEvent: _encode_region_event,
-    UpdateBatch: _encode_update_batch,
-    OpenSession: _encode_open_session,
-    OpenQuery: _encode_open_query,
-    SessionOpened: lambda m: _encode_query_id_only(_T_SESSION_OPENED, m.query_id),
-    CloseSession: lambda m: _encode_query_id_only(_T_CLOSE_SESSION, m.query_id),
-    SessionClosed: lambda m: _encode_query_id_only(_T_SESSION_CLOSED, m.query_id),
-    RefreshRequest: lambda m: _encode_query_id_only(_T_REFRESH, m.query_id),
-    BatchApplied: _encode_batch_applied,
-    ErrorMessage: _encode_error,
-    StatsRequest: _encode_stats_request,
-    StatsResponse: _encode_stats_response,
-    ObjectsRequest: _encode_objects_request,
-    ObjectsResponse: _encode_objects_response,
-    AggregateStatsRequest: _encode_agg_stats_request,
-    AggregateStatsResponse: _encode_agg_stats_response,
-    DrainRequest: _encode_drain_request,
-    DrainAck: _encode_drain_ack,
-    IndexDelta: _encode_index_delta,
-    DeltaAck: _encode_delta_ack,
-    MetricsRequest: _encode_metrics_request,
-    MetricsSnapshot: _encode_metrics_snapshot,
-}
-
-
+# ----------------------------------------------------------------------
+# The three derived operations
+# ----------------------------------------------------------------------
 # Per-frame-type codec latency histograms, cached here so the hot path
 # never re-derives a label key or touches the registry dict.
 _CODEC_HISTOGRAMS: Dict[Tuple[str, str], Histogram] = {}
@@ -1060,12 +874,12 @@ def encode(message: Any) -> bytes:
         TransportError: for unknown message types or out-of-range fields
             (e.g. an object index that does not fit the wire's u32).
     """
-    encoder = _ENCODERS.get(type(message))
-    if encoder is None:
+    frame = _FRAME_OF_CLASS.get(type(message))
+    if frame is None:
         raise TransportError(f"cannot encode message of type {type(message).__name__}")
     started = start_timer()
     try:
-        data = encoder(message)
+        data = frame.encode(message)
     except struct.error as error:
         raise TransportError(
             f"field out of range encoding {type(message).__name__}: {error}"
@@ -1077,269 +891,17 @@ def encode(message: Any) -> bytes:
     return data
 
 
-# ----------------------------------------------------------------------
-# Per-type decoders
-# ----------------------------------------------------------------------
-def _decode_position_update(reader: _Reader) -> PositionUpdate:
-    query_id = reader.i32()
-    position = reader.position()
-    return PositionUpdate(
-        query_id=None if query_id < 0 else query_id, position=position
-    )
-
-
-def _read_response_body(reader: _Reader) -> Tuple[int, int, int, int, Dict[str, Any]]:
-    """Read the shared response layout; returns the envelope fields plus
-    the :class:`QueryResult` constructor kwargs (kind decoders widen them)."""
-    query_id = reader.i32()
-    objects_shipped = reader.u32()
-    round_trips = reader.u32()
-    epoch = reader.u32()
-    timestamp = reader.i32()
-    action_code = reader.u8()
-    if action_code >= len(_ACTIONS):
-        raise TransportError(f"unknown update action code 0x{action_code:02x}")
-    was_valid = reader.u8() != 0
-    k = reader.u32()
-    knn = tuple(reader.u32() for _ in range(k))
-    distances = tuple(reader.f64() for _ in range(k))
-    guard_count = reader.u32()
-    guards = frozenset(reader.u32() for _ in range(guard_count))
-    result_kwargs = dict(
-        timestamp=timestamp,
-        knn=knn,
-        knn_distances=distances,
-        guard_objects=guards,
-        action=_ACTIONS[action_code],
-        was_valid=was_valid,
-    )
-    return query_id, objects_shipped, round_trips, epoch, result_kwargs
-
-
-def _decode_knn_response(reader: _Reader) -> KNNResponse:
-    query_id, objects_shipped, round_trips, epoch, kwargs = _read_response_body(reader)
-    return KNNResponse(
-        query_id=query_id,
-        result=QueryResult(**kwargs),
-        objects_shipped=objects_shipped,
-        round_trips=round_trips,
-        epoch=epoch,
-    )
-
-
-def _decode_influential_response(reader: _Reader) -> InfluentialResponse:
-    query_id, objects_shipped, round_trips, epoch, kwargs = _read_response_body(reader)
-    site_count = reader.u32()
-    sites = tuple(reader.u32() for _ in range(site_count))
-    return InfluentialResponse(
-        query_id=query_id,
-        result=InfluentialResult(sites=sites, **kwargs),
-        objects_shipped=objects_shipped,
-        round_trips=round_trips,
-        epoch=epoch,
-    )
-
-
-def _decode_region_event(reader: _Reader) -> RegionEvent:
-    query_id, objects_shipped, round_trips, epoch, kwargs = _read_response_body(reader)
-    event_code = reader.u8()
-    if event_code >= len(_REGION_EVENTS):
-        raise TransportError(f"unknown region event code 0x{event_code:02x}")
-    departed_count = reader.u32()
-    departed = tuple(reader.u32() for _ in range(departed_count))
-    return RegionEvent(
-        query_id=query_id,
-        result=RegionResult(
-            event=_REGION_EVENTS[event_code], departed=departed, **kwargs
-        ),
-        objects_shipped=objects_shipped,
-        round_trips=round_trips,
-        epoch=epoch,
-    )
-
-
-def _decode_update_batch(reader: _Reader) -> UpdateBatch:
-    n_inserts = reader.u32()
-    n_deletes = reader.u32()
-    n_moves = reader.u32()
-    inserts = tuple(reader.target() for _ in range(n_inserts))
-    deletes = tuple(reader.u32() for _ in range(n_deletes))
-    moves = tuple((reader.u32(), reader.target()) for _ in range(n_moves))
-    return UpdateBatch(inserts=inserts, deletes=deletes, moves=moves)
-
-
-def _decode_open_session(reader: _Reader) -> OpenSession:
-    k = reader.u32()
-    rho = reader.f64()
-    position = reader.position()
-    n_options = reader.u8()
-    options = tuple((reader.string(), reader.string()) for _ in range(n_options))
-    return OpenSession(position=position, k=k, rho=rho, options=options)
-
-
-def _decode_open_query(reader: _Reader) -> OpenQuery:
-    kind = reader.string()
-    k = reader.u32()
-    rho = reader.f64()
-    position = reader.position()
-    n_options = reader.u8()
-    options = tuple((reader.string(), reader.string()) for _ in range(n_options))
-    return OpenQuery(kind=kind, position=position, k=k, rho=rho, options=options)
-
-
-def _decode_batch_applied(reader: _Reader) -> BatchApplied:
-    epoch = reader.u32()
-    new_indexes = tuple(reader.u32() for _ in range(reader.u32()))
-    deleted_indexes = tuple(reader.u32() for _ in range(reader.u32()))
-    return BatchApplied(
-        epoch=epoch, new_indexes=new_indexes, deleted_indexes=deleted_indexes
-    )
-
-
-def _decode_error(reader: _Reader) -> ErrorMessage:
-    return ErrorMessage(kind=reader.string(), message=reader.string())
-
-
-def _decode_stats_response(reader: _Reader) -> StatsResponse:
-    aggregate = _read_comm(reader)
-    count = reader.u32()
-    per_session = tuple((reader.i32(), _read_comm(reader)) for _ in range(count))
-    return StatsResponse(aggregate=aggregate, per_session=per_session)
-
-
-def _decode_objects_response(reader: _Reader) -> ObjectsResponse:
-    epoch = reader.u32()
-    indexes = tuple(reader.u32() for _ in range(reader.u32()))
-    return ObjectsResponse(epoch=epoch, indexes=indexes)
-
-
-def _decode_drain_ack(reader: _Reader) -> DrainAck:
-    wal_seq = reader.u64()
-    session_ids = tuple(reader.i32() for _ in range(reader.u32()))
-    return DrainAck(wal_seq=wal_seq, session_ids=session_ids)
-
-
-def _decode_index_delta(reader: _Reader) -> IndexDelta:
-    epoch = reader.u32()
-    payload = reader.u32()
-    flags = reader.u8()
-
-    def u32s():
-        return tuple(reader.u32() for _ in range(reader.u32()))
-
-    new_indexes = u32s()
-    deleted_indexes = u32s()
-    changed = u32s()
-    points = tuple(reader.position() for _ in range(reader.u32()))
-    neighbors = tuple((reader.u32(), u32s()) for _ in range(reader.u32()))
-    removed_neighbors = u32s()
-    assignments = tuple((reader.u32(), reader.u32()) for _ in range(reader.u32()))
-    groups = tuple((reader.u32(), u32s()) for _ in range(reader.u32()))
-    removed_groups = u32s()
-    vertices = tuple(
-        (reader.u32(), reader.u32(), reader.f64()) for _ in range(reader.u32())
-    )
-    removed_vertices = u32s()
-    edges = []
-    for _ in range(reader.u32()):
-        edge_id, owner_u, owner_v = reader.u32(), reader.u32(), reader.u32()
-        border = reader.f64() if reader.u8() else None
-        edges.append((edge_id, owner_u, owner_v, border))
-    removed_edges = u32s()
-    labels = tuple(
-        (reader.u32(), u32s(), u32s(), u32s()) for _ in range(reader.u32())
-    )
-    removed_labels = u32s()
-    return IndexDelta(
-        epoch=epoch,
-        payload=payload,
-        full=bool(flags & 1),
-        bulk=bool(flags & 2),
-        new_indexes=new_indexes,
-        deleted_indexes=deleted_indexes,
-        changed=changed,
-        points=points,
-        neighbors=neighbors,
-        removed_neighbors=removed_neighbors,
-        assignments=assignments,
-        groups=groups,
-        removed_groups=removed_groups,
-        vertices=vertices,
-        removed_vertices=removed_vertices,
-        edges=tuple(edges),
-        removed_edges=removed_edges,
-        labels=labels,
-        removed_labels=removed_labels,
-    )
-
-
-def _decode_agg_stats_response(reader: _Reader) -> AggregateStatsResponse:
-    values = {name: reader.u64() for name in _PROC_INT_FIELDS}
-    values.update({name: reader.f64() for name in _PROC_FLOAT_FIELDS})
-    return AggregateStatsResponse(stats=ProcessorStats(**values))
-
-
-def _decode_metrics_snapshot(reader: _Reader) -> MetricsSnapshot:
-    counters = tuple(
-        (reader.string(), reader.string(), reader.u64())
-        for _ in range(reader.u32())
-    )
-    gauges = tuple(
-        (reader.string(), reader.string(), reader.f64())
-        for _ in range(reader.u32())
-    )
-    histograms = tuple(
-        (
-            reader.string(),
-            reader.string(),
-            tuple(reader.u64() for _ in range(reader.u16())),
-            reader.f64(),
-        )
-        for _ in range(reader.u32())
-    )
-    return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
-
-
-_DECODERS = {
-    _T_POSITION_UPDATE: _decode_position_update,
-    _T_KNN_RESPONSE: _decode_knn_response,
-    _T_INFLUENTIAL_RESPONSE: _decode_influential_response,
-    _T_REGION_EVENT: _decode_region_event,
-    _T_UPDATE_BATCH: _decode_update_batch,
-    _T_OPEN_SESSION: _decode_open_session,
-    _T_OPEN_QUERY: _decode_open_query,
-    _T_SESSION_OPENED: lambda r: SessionOpened(query_id=r.i32()),
-    _T_CLOSE_SESSION: lambda r: CloseSession(query_id=r.i32()),
-    _T_SESSION_CLOSED: lambda r: SessionClosed(query_id=r.i32()),
-    _T_REFRESH: lambda r: RefreshRequest(query_id=r.i32()),
-    _T_BATCH_APPLIED: _decode_batch_applied,
-    _T_ERROR: _decode_error,
-    _T_STATS_REQUEST: lambda r: StatsRequest(per_session=r.u8() != 0),
-    _T_STATS_RESPONSE: _decode_stats_response,
-    _T_OBJECTS_REQUEST: lambda r: ObjectsRequest(),
-    _T_OBJECTS_RESPONSE: _decode_objects_response,
-    _T_AGG_STATS_REQUEST: lambda r: AggregateStatsRequest(),
-    _T_AGG_STATS_RESPONSE: _decode_agg_stats_response,
-    _T_DRAIN_REQUEST: lambda r: DrainRequest(),
-    _T_DRAIN_ACK: _decode_drain_ack,
-    _T_INDEX_DELTA: _decode_index_delta,
-    _T_DELTA_ACK: lambda r: DeltaAck(epoch=r.u32()),
-    _T_METRICS_REQUEST: lambda r: MetricsRequest(),
-    _T_METRICS_SNAPSHOT: _decode_metrics_snapshot,
-}
-
-
 def _decode_body(body: bytes) -> Any:
     if not body:
         raise TransportError("empty frame body")
-    reader = _Reader(body)
-    frame_type = reader.u8()
-    decoder = _DECODERS.get(frame_type)
-    if decoder is None:
-        raise TransportError(f"unknown frame type 0x{frame_type:02x}")
+    frame = _FRAME_OF_TYPE.get(body[0])
+    if frame is None:
+        raise TransportError(f"unknown frame type 0x{body[0]:02x}")
     started = start_timer()
-    message = decoder(reader)
-    reader.finish()
+    try:
+        message = frame.decode(body)
+    except (struct.error, IndexError):
+        raise _truncated()
     if started is not None:
         _codec_histogram("decode", type(message).__name__).observe(
             _obs_clock() - started
@@ -1367,162 +929,6 @@ def decode(data: bytes) -> Any:
     return _decode_body(data[LENGTH_PREFIX_BYTES:])
 
 
-# ----------------------------------------------------------------------
-# Predicted sizes
-# ----------------------------------------------------------------------
-def _size_position_update(message: PositionUpdate) -> int:
-    return _OVERHEAD + 4 + _position_size(message.position)
-
-
-def _size_knn_response(message: KNNResponse) -> int:
-    result = message.result
-    return (
-        _OVERHEAD
-        + 4  # query_id
-        + 4 + 4 + 4  # objects_shipped, round_trips, epoch
-        + 4 + 1 + 1  # timestamp, action, was_valid
-        + 4 + len(result.knn) * (4 + 8)
-        + 4 + len(result.guard_objects) * 4
-    )
-
-
-def _size_update_batch(message: UpdateBatch) -> int:
-    return (
-        _OVERHEAD
-        + 12
-        + sum(_target_size(target) for target in message.inserts)
-        + 4 * len(message.deletes)
-        + sum(4 + _target_size(target) for _, target in message.moves)
-    )
-
-
-def _size_influential_response(message: InfluentialResponse) -> int:
-    return _size_knn_response(message) + 4 + 4 * len(message.result.sites)
-
-
-def _size_region_event(message: RegionEvent) -> int:
-    return _size_knn_response(message) + 1 + 4 + 4 * len(message.result.departed)
-
-
-def _size_open_session(message: OpenSession) -> int:
-    options = sum(
-        4 + len(name.encode("utf-8")) + len(value.encode("utf-8"))
-        for name, value in message.options
-    )
-    return _OVERHEAD + 4 + 8 + _position_size(message.position) + 1 + options
-
-
-def _size_open_query(message: OpenQuery) -> int:
-    options = sum(
-        4 + len(name.encode("utf-8")) + len(value.encode("utf-8"))
-        for name, value in message.options
-    )
-    return (
-        _OVERHEAD
-        + 2 + len(message.kind.encode("utf-8"))
-        + 4 + 8 + _position_size(message.position) + 1 + options
-    )
-
-
-def _size_error(message: ErrorMessage) -> int:
-    return (
-        _OVERHEAD
-        + 4
-        + len(message.kind.encode("utf-8"))
-        + len(message.message.encode("utf-8"))
-    )
-
-
-def _size_stats_response(message: StatsResponse) -> int:
-    return _OVERHEAD + 48 + 4 + len(message.per_session) * (4 + 48)
-
-
-def _size_objects_response(message: ObjectsResponse) -> int:
-    return _OVERHEAD + 4 + 4 + 4 * len(message.indexes)
-
-
-def _size_batch_applied(message: BatchApplied) -> int:
-    return (
-        _OVERHEAD
-        + 4
-        + 4 + 4 * len(message.new_indexes)
-        + 4 + 4 * len(message.deleted_indexes)
-    )
-
-
-def _size_metrics_snapshot(message: MetricsSnapshot) -> int:
-    def s(text: str) -> int:
-        return 2 + len(text.encode("utf-8"))
-
-    return (
-        _OVERHEAD
-        + 12  # three u32 section counts
-        + sum(s(name) + s(labels) + 8 for name, labels, _ in message.counters)
-        + sum(s(name) + s(labels) + 8 for name, labels, _ in message.gauges)
-        + sum(
-            s(name) + s(labels) + 2 + 8 * len(counts) + 8
-            for name, labels, counts, _ in message.histograms
-        )
-    )
-
-
-def _size_index_delta(message: IndexDelta) -> int:
-    def u32s(values) -> int:
-        return 4 + 4 * len(values)
-
-    return (
-        _OVERHEAD
-        + 4 + 4 + 1  # epoch, payload, flags
-        + u32s(message.new_indexes)
-        + u32s(message.deleted_indexes)
-        + u32s(message.changed)
-        + 4 + sum(_position_size(point) for point in message.points)
-        + 4 + sum(4 + u32s(members) for _, members in message.neighbors)
-        + u32s(message.removed_neighbors)
-        + 4 + 8 * len(message.assignments)
-        + 4 + sum(4 + u32s(members) for _, members in message.groups)
-        + u32s(message.removed_groups)
-        + 4 + 16 * len(message.vertices)
-        + u32s(message.removed_vertices)
-        + 4 + sum(13 + (0 if border is None else 8) for *_, border in message.edges)
-        + u32s(message.removed_edges)
-        + 4 + sum(
-            4 + u32s(verts) + u32s(edge_ids) + u32s(adjacent)
-            for _, verts, edge_ids, adjacent in message.labels
-        )
-        + u32s(message.removed_labels)
-    )
-
-
-_SIZERS = {
-    PositionUpdate: _size_position_update,
-    KNNResponse: _size_knn_response,
-    InfluentialResponse: _size_influential_response,
-    RegionEvent: _size_region_event,
-    UpdateBatch: _size_update_batch,
-    OpenSession: _size_open_session,
-    OpenQuery: _size_open_query,
-    SessionOpened: lambda m: _OVERHEAD + 4,
-    CloseSession: lambda m: _OVERHEAD + 4,
-    SessionClosed: lambda m: _OVERHEAD + 4,
-    RefreshRequest: lambda m: _OVERHEAD + 4,
-    BatchApplied: _size_batch_applied,
-    ErrorMessage: _size_error,
-    StatsRequest: lambda m: _OVERHEAD + 1,
-    StatsResponse: _size_stats_response,
-    ObjectsRequest: lambda m: _OVERHEAD,
-    ObjectsResponse: _size_objects_response,
-    AggregateStatsRequest: lambda m: _OVERHEAD,
-    AggregateStatsResponse: lambda m: _OVERHEAD + 8 * 11 + 8 * 5,
-    DrainRequest: lambda m: _OVERHEAD,
-    DrainAck: lambda m: _OVERHEAD + 8 + 4 + 4 * len(m.session_ids),
-    IndexDelta: _size_index_delta,
-    DeltaAck: lambda m: _OVERHEAD + 4,
-    MetricsRequest: lambda m: _OVERHEAD,
-    MetricsSnapshot: _size_metrics_snapshot,
-}
-
-
 def wire_size(message: Any) -> int:
     """Predicted encoded size of ``message`` in bytes, prefix included.
 
@@ -1531,10 +937,10 @@ def wire_size(message: Any) -> int:
     contract: the transport's measured byte counters are provably the sum
     of the per-message predictions.
     """
-    sizer = _SIZERS.get(type(message))
-    if sizer is None:
+    frame = _FRAME_OF_CLASS.get(type(message))
+    if frame is None:
         raise TransportError(f"cannot size message of type {type(message).__name__}")
-    return sizer(message)
+    return frame.wire_size(message)
 
 
 # ----------------------------------------------------------------------

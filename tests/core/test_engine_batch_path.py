@@ -4,7 +4,9 @@ Every batch is all-or-nothing: a rejected batch (a non-finite plane
 position, a move of an object that does not exist) applies nothing and
 leaves the epoch where it was, so the next valid batch serves exactly like
 a twin service that never saw the bad one.  A read replica's
-``apply_remote_delta`` guards its epoch the same way.
+``apply_remote_delta`` guards its epoch the same way, and a non-finite
+query position (plane) or NaN road offset is refused before a session is
+opened or moved, unanswered and unbilled.
 """
 
 import math
@@ -12,9 +14,10 @@ import math
 import pytest
 
 from repro.core.engine import BatchUpdateResult
-from repro.errors import GeometryError, QueryError
+from repro.errors import GeometryError, QueryError, RoadNetworkError
 from repro.geometry.point import Point
 from repro.roadnet.generators import grid_network, place_objects
+from repro.roadnet.location import NetworkLocation
 from repro.service import UpdateBatch, open_service
 from repro.trajectory.road import network_random_walk
 from repro.transport import KNNServer, connect
@@ -114,6 +117,78 @@ class TestNonFiniteTargets:
                 remote_answers = [session.update(p).knn for p in positions[1:]]
         assert service.object_count == twin.object_count
         assert remote_answers == answers(twin, positions)
+
+
+def bad_query_positions(metric):
+    if metric == "road":
+        edge = ROAD_NETWORK.edges()[0].edge_id
+        return (NetworkLocation(edge, math.nan),)
+    return BAD_POSITIONS
+
+
+def counters(stats):
+    """Message and object counters (bytes differ by transport)."""
+    return (
+        stats.uplink_messages,
+        stats.uplink_objects,
+        stats.downlink_messages,
+        stats.downlink_objects,
+    )
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "road"])
+class TestNonFiniteQueryPositions:
+    """A non-finite query position is refused before the processor sees
+    it: nothing is answered or billed, so the service serves on exactly
+    like a twin that never received the bad request."""
+
+    def test_open_session_is_rejected(self, metric):
+        service, twin = make_service(metric), make_service(metric)
+        for bad in bad_query_positions(metric):
+            with pytest.raises((GeometryError, RoadNetworkError)):
+                service.open_session(bad, k=4)
+        assert service.engine.query_count == 0
+        assert state(service) == state(twin)
+        positions = trajectory(metric)
+        assert answers(service, positions) == answers(twin, positions)
+        assert state(service) == state(twin)
+
+    def test_update_is_rejected(self, metric):
+        service, twin = make_service(metric), make_service(metric)
+        positions = trajectory(metric)
+        with service.open_session(positions[0], k=4) as session:
+            with twin.open_session(positions[0], k=4) as twin_session:
+                for bad in bad_query_positions(metric):
+                    with pytest.raises((GeometryError, RoadNetworkError)):
+                        session.update(bad)
+                assert state(service) == state(twin)
+                for position in positions[1:]:
+                    response = session.update(position)
+                    assert response == twin_session.update(position)
+                assert session.communication == twin_session.communication
+        assert state(service) == state(twin)
+
+    def test_rejected_over_tcp(self, metric):
+        service, twin = make_service(metric), make_service(metric)
+        positions = trajectory(metric)
+        with KNNServer(service) as server, connect(server.address) as remote:
+            for bad in bad_query_positions(metric):
+                with pytest.raises((GeometryError, RoadNetworkError)):
+                    remote.open_session(bad, k=4)
+            with remote.open_session(positions[0], k=4) as session:
+                with twin.open_session(positions[0], k=4) as twin_session:
+                    for bad in bad_query_positions(metric):
+                        with pytest.raises((GeometryError, RoadNetworkError)):
+                            session.update(bad)
+                    for position in positions[1:]:
+                        assert session.update(position).result == (
+                            twin_session.update(position).result
+                        )
+                    assert counters(session.communication) == counters(
+                        twin_session.communication
+                    )
+        assert service.epoch == twin.epoch
+        assert counters(service.communication) == counters(twin.communication)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "road"])

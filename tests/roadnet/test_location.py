@@ -1,5 +1,7 @@
 """Tests for repro.roadnet.location."""
 
+import math
+
 import pytest
 
 from repro.errors import RoadNetworkError
@@ -31,6 +33,12 @@ class TestValidation:
             NetworkLocation(e_ab, 150.0).validated(network)
         with pytest.raises(RoadNetworkError):
             NetworkLocation(e_ab, -5.0).validated(network)
+
+    def test_non_finite_offset(self, simple_network):
+        network, _, (e_ab, _) = simple_network
+        for offset in (math.nan, math.inf, -math.inf):
+            with pytest.raises(RoadNetworkError):
+                NetworkLocation(e_ab, offset).validated(network)
 
     def test_unknown_edge(self, simple_network):
         network, _, _ = simple_network

@@ -56,6 +56,9 @@ snapshots = st.builds(
             sums,
         ),
         max_size=4,
+        # One bucket layout per (name, labels) key, as in a real registry:
+        # merge_snapshots rightly rejects a key with mismatched layouts.
+        unique_by=lambda h: (h[0], h[1]),
     ).map(tuple),
 )
 
